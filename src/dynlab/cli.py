@@ -134,7 +134,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--budget", type=int, default=None, help="override a budget param")
-    p_run.add_argument("--jobs", type=int, default=1, help="reserved; checks run sequentially")
     p_run.set_defaults(fn=cmd_run)
 
     p_list = sub.add_parser("list", help="list experiment presets")

@@ -94,9 +94,7 @@ def run_ifs_density(params: dict, seed: int, artifacts: dict) -> list[dict]:
         )
         artifacts[f"words_{tag}"] = [list(w) for w in words]
         reach = forward_orbit(ifs, [0.0], depth=8, eps=eps, budget=10**6)
-        pts = [rep for _, rep in reach.grid.values()]
-        wds = [w for w, _ in reach.grid.values()]
-        artifacts.setdefault("clouds", {})[f"orbit-{tag}"] = (np.array(pts), wds)
+        artifacts.setdefault("clouds", {})[f"orbit-{tag}"] = (reach.points(), reach.words())
     return checks
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .bumps import AxisRamp, hamiltonian_bump_translation
 from .errors import ScheduleTooSmall
 from .horseshoe import HorseshoeBase
+from .ifs import CellSet
 from .maps import SmoothMap, compose
 from .spaces import Box, StateSpace
 
@@ -324,31 +325,30 @@ def word_into(
     """Breadth-first word search carrying the seed into the target box.
 
     Frontier deduplicated on an eps-grid of the (compact) space; generators
-    apply in index order, so results are deterministic.
+    apply in index order and images are visited generator-major, in frontier
+    order, so the first hit, and the word returned, are deterministic.
     """
     space = maps[0].domain
     seed = np.asarray(seed, dtype=float)
     if target.contains(space.canonicalize(seed)):
         return ()
-    seen = {tuple(int(v) for v in space.cell_index(seed, eps))}
-    frontier = [((), seed)]
+    seen = CellSet(space, eps)
+    seen.add_new(space.cell_index(seed[None], eps))
+    words: list[tuple[int, ...]] = [()]
+    pts = seed[None]
     for _ in range(depth):
-        if not frontier:
+        if not words:
             return None
-        pts = np.array([p for _, p in frontier])
-        nxt = []
+        nxt_words, nxt_pts = [], []
         for gi, g in enumerate(maps):
             imgs = space.canonicalize(g.raw(pts))
-            hits = target.contains(imgs)
-            keys = space.cell_index(imgs, eps)
-            for (w, _), img, hit, key in zip(frontier, imgs, hits, keys, strict=True):
-                if hit:
-                    return w + (gi,)
-                k = tuple(int(v) for v in key)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append((w + (gi,), img))
-        frontier = nxt
+            hits = np.flatnonzero(target.contains(imgs))
+            if len(hits):
+                return words[hits[0]] + (gi,)
+            new = seen.add_new(space.cell_index(imgs, eps))
+            nxt_words += [words[j] + (gi,) for j in new.tolist()]
+            nxt_pts.append(imgs[new])
+        words, pts = nxt_words, np.concatenate(nxt_pts)
     return None
 
 

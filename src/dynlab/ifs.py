@@ -2,18 +2,28 @@
 
 An IFS is a finite list of generators sharing a state space. A word is a
 tuple of generator indices; the first symbol is applied first, so the word
-(s1, ..., sk) evaluates g_sk o ... o g_s1. Orbits are explored breadth first
-and deduplicated on a resolution-eps occupancy grid; every stored cell keeps
-a witness word that replays to its representative point.
+(s1, ..., sk) evaluates g_sk o ... o g_s1.
+
+Orbits are explored breadth first and deduplicated on a resolution-eps
+occupancy grid. A reach set keeps its cells in arrays, in insertion order:
+the integer cell keys, one representative point per cell, and for each cell
+the parent cell and the generator that carried the parent's representative
+to it. Witness words are not stored; they are rebuilt on demand by walking
+the parent pointers back to the seed, so memory is O(cells), not
+O(cells * depth). Each level of the search evaluates every generator once
+on the whole frontier and deduplicates the images in one vectorized step
+that keeps the first image to reach each cell, in generator-major, frontier
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoMetadata
+from .errors import DynlabError, NoMetadata
 from .fixed_points import FixedPointRecord, find_fixed_point
 from .maps import SmoothMap
 from .spaces import Box, StateSpace
@@ -75,36 +85,102 @@ class IFS:
         return apply_word(self.generators, word, x)
 
 
-@dataclass
-class ReachSet:
-    """Occupancy grid of an orbit exploration.
+class CellSet:
+    """A set of eps-cell keys of a space, with batched first-occurrence insertion.
 
-    grid maps a cell key to (witness word, representative point). The witness
-    word applied to the seed reproduces the representative exactly (the
-    representative is stored at insertion time). The final frontier is kept
-    so an exploration can resume at greater depth.
+    Each key row is packed into one int64 code by mixed radix over a box of
+    keys, and the codes are kept sorted for membership by binary search. The
+    box starts as the space's own grid; a key outside it, such as the cell
+    of an image that left an interval factor, grows the box and the stored
+    codes are packed again. Packing preserves the lexicographic order of the
+    rows, so they stay sorted, and keys are kept exactly wherever they lie as
+    long as the box holds fewer than 2**63 cells.
+    """
+
+    def __init__(self, space: StateSpace, eps: float):
+        self.codes = np.zeros(0, dtype=np.int64)
+        self._set_box(*space.cell_range(eps))
+
+    def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        radix = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+        if math.prod(radix) >= 2**63:
+            raise DynlabError("cell keys span too many cells to pack into int64 codes")
+        self.lo, self.hi = lo, hi
+        self.strides = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))], dtype=np.int64)
+
+    def _pack(self, keys: np.ndarray) -> np.ndarray:
+        return (keys - self.lo) @ self.strides
+
+    def rows(self) -> np.ndarray:
+        """The keys in the set, in increasing lexicographic order."""
+        rows = np.empty((len(self.codes), len(self.lo)), dtype=np.int64)
+        rem = self.codes
+        for i, s in enumerate(self.strides):
+            rows[:, i], rem = np.divmod(rem, s)
+        return rows + self.lo
+
+    def add_new(self, keys: np.ndarray) -> np.ndarray:
+        """Insert the keys not yet in the set. Returns, in increasing order,
+        the row index of the first occurrence of each newly inserted key."""
+        if not len(keys):
+            return np.zeros(0, dtype=np.intp)
+        lo, hi = keys.min(axis=0), keys.max(axis=0)
+        if (lo < self.lo).any() or (hi > self.hi).any():
+            rows = self.rows()
+            self._set_box(np.minimum(lo, self.lo), np.maximum(hi, self.hi))
+            self.codes = self._pack(rows)
+        codes = self._pack(keys)
+        # a stable sort puts each code's first occurrence first in its run
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        pos = np.searchsorted(self.codes, codes)
+        new = np.ones(len(codes), dtype=bool)
+        if len(self.codes):
+            new = self.codes[np.minimum(pos, len(self.codes) - 1)] != codes
+        new[1:] &= codes[1:] != codes[:-1]
+        self.codes = np.insert(self.codes, pos[new], codes[new])
+        return np.sort(order[new])
+
+
+@dataclass(eq=False)
+class ReachSet:
+    """Occupancy grid of an orbit exploration, as arrays in insertion order.
+
+    Row i holds one occupied cell: its integer key ``keys[i]``, its
+    representative ``reps[i]`` (the first point to land in the cell), and
+    ``parent[i]``/``symbol[i]``, the row whose representative the generator
+    ``symbol[i]`` carried to ``reps[i]``. A root row (the seed's cell) has
+    parent and symbol -1. Parents precede their children, and the witness
+    word of a cell, rebuilt by ``words()`` from the parent pointers, applied
+    to the seed reproduces its representative exactly. ``frontier`` holds
+    the rows of the last level explored, so an exploration can resume at
+    greater depth.
     """
 
     space: StateSpace
     eps: float
     seed: np.ndarray
-    grid: dict[tuple, tuple[Word, np.ndarray]] = field(default_factory=dict)
+    keys: np.ndarray
+    reps: np.ndarray
+    parent: np.ndarray
+    symbol: np.ndarray
     visited_count: int = 0
     truncated: bool = False
     depth_reached: int = 0
-    frontier: list[tuple[Word, np.ndarray]] = field(default_factory=list)
+    frontier: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     def cells(self) -> set[tuple]:
-        return set(self.grid.keys())
+        return set(map(tuple, self.keys.tolist()))
 
     def points(self) -> np.ndarray:
-        return np.array([rep for _, rep in self.grid.values()])
+        return self.reps.copy()
 
-    def coverage(self) -> float:
-        return len(self.grid) / self.space.total_cells(self.eps)
-
-    def key_of(self, x) -> tuple:
-        return tuple(int(v) for v in self.space.cell_index(np.asarray(x, float), self.eps))
+    def words(self) -> list[Word]:
+        """Witness word of every cell, in insertion order."""
+        out: list[Word] = []
+        for p, s in zip(self.parent.tolist(), self.symbol.tolist()):
+            out.append(out[p] + (s,) if p >= 0 else ())
+        return out
 
 
 def forward_orbit(
@@ -124,43 +200,70 @@ def forward_orbit(
     """
     space = ifs.space
     seed = space.canonicalize(np.asarray(seed, dtype=float))
-    reach = ReachSet(space=space, eps=eps, seed=seed)
-    key0 = reach.key_of(seed)
-    reach.grid[key0] = ((), seed)
-    reach.visited_count = 1
-    reach.frontier = [((), seed)]
+    reach = ReachSet(
+        space=space,
+        eps=eps,
+        seed=seed,
+        keys=space.cell_index(seed[None], eps),
+        reps=seed[None],
+        parent=np.array([-1], dtype=np.intp),
+        symbol=np.array([-1], dtype=np.intp),
+        visited_count=1,
+        frontier=np.array([0], dtype=np.intp),
+    )
     return extend_orbit(ifs, reach, depth, budget)
 
 
 def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_000_000) -> ReachSet:
-    """Continue a breadth-first exploration from its stored frontier."""
+    """Continue a breadth-first exploration from its stored frontier.
+
+    Each level applies the generators in index order, each once to the whole
+    frontier, and visits the images generator-major, in frontier order; the
+    first image to land in an unoccupied cell is stored. Every visit spends
+    one unit of the budget: the image at which it runs out and all later
+    ones are not visited, the level ends there and truncated is set. The
+    reach set is updated only when the call returns, so a generator that
+    raises (an image left an interval factor) leaves it as it was.
+    """
     space = ifs.space
     eps = reach.eps
+    cells = CellSet(space, eps)
+    cells.add_new(reach.keys)
+    keys, reps, parent, symbol = [reach.keys], [reach.reps], [reach.parent], [reach.symbol]
+    n = len(reach.keys)
+    visited, truncated, depth = reach.visited_count, reach.truncated, reach.depth_reached
     frontier = reach.frontier
-    for level in range(reach.depth_reached + 1, reach.depth_reached + extra_depth + 1):
-        if not frontier:
+    pts = reach.reps[frontier]
+    for level in range(depth + 1, depth + extra_depth + 1):
+        if not len(frontier):
             break
-        nxt: list[tuple[Word, np.ndarray]] = []
-        pts = np.array([p for _, p in frontier])
+        level_start, level_chunk = n, len(reps)
         for gi, g in enumerate(ifs.generators):
-            if reach.truncated:
+            if truncated:
                 break
             images = g(pts)
-            keys = space.cell_index(images, eps)
-            for (word, _), img, key in zip(frontier, images, keys, strict=True):
-                if reach.visited_count >= budget:
-                    reach.truncated = True
-                    break
-                reach.visited_count += 1
-                k = tuple(int(v) for v in key)
-                if k not in reach.grid:
-                    w = word + (gi,)
-                    reach.grid[k] = (w, img)
-                    nxt.append((w, img))
-        reach.depth_reached = level
-        frontier = nxt
-        if reach.truncated:
+            image_keys = space.cell_index(images, eps)
+            take = max(0, min(len(images), budget - visited))
+            if take < len(images):
+                truncated = True
+                images, image_keys = images[:take], image_keys[:take]
+            visited += take
+            new = cells.add_new(image_keys)
+            keys.append(image_keys[new])
+            reps.append(images[new])
+            parent.append(frontier[new])
+            symbol.append(np.full(len(new), gi, dtype=np.intp))
+            n += len(new)
+        depth = level
+        frontier = np.arange(level_start, n, dtype=np.intp)
+        pts = np.concatenate(reps[level_chunk:]) if n > level_start else pts[:0]
+        if truncated:
             break
+    reach.keys = np.concatenate(keys)
+    reach.reps = np.concatenate(reps)
+    reach.parent = np.concatenate(parent)
+    reach.symbol = np.concatenate(symbol)
+    reach.visited_count, reach.truncated, reach.depth_reached = visited, truncated, depth
     reach.frontier = frontier
     return reach
 
@@ -169,7 +272,7 @@ def replay_check(ifs: IFS, reach: ReachSet, tol: float | None = None) -> bool:
     """Every witness word, applied to the seed, lands within eps/2 of its
     representative (exact up to float noise for deterministic generators)."""
     tol = reach.eps / 2.0 if tol is None else tol
-    for word, rep in reach.grid.values():
+    for word, rep in zip(reach.words(), reach.reps):
         got = ifs.apply_word(word, reach.seed)
         if ifs.space.distance(got, rep) > tol:
             return False
@@ -178,10 +281,9 @@ def replay_check(ifs: IFS, reach: ReachSet, tol: float | None = None) -> bool:
 
 def coarsen_cells(reach: ReachSet, eps: float) -> set[tuple]:
     """Occupied eps-cells implied by a finer exploration."""
-    keys = set()
-    for _, rep in reach.grid.values():
-        keys.add(tuple(int(v) for v in reach.space.cell_index(rep, eps)))
-    return keys
+    coarse = CellSet(reach.space, eps)
+    coarse.add_new(reach.space.cell_index(reach.reps, eps))
+    return set(map(tuple, coarse.rows().tolist()))
 
 
 def minimality_experiment(

@@ -32,12 +32,13 @@ def _plain(obj):
 
 
 def reachset_lines(reach: ReachSet) -> list[str]:
+    """One cell per line, in increasing key order: cell, coordinates, word."""
+    keys, reps, words = reach.keys.tolist(), reach.reps.tolist(), reach.words()
     lines = []
-    for key in sorted(reach.grid.keys()):
-        word, rep = reach.grid[key]
-        cell = ",".join(str(int(v)) for v in key)
-        coords = ",".join(repr(float(v)) for v in rep)
-        w = ",".join(str(s) for s in word)
+    for i in np.lexsort(reach.keys.T[::-1]).tolist():
+        cell = ",".join(str(v) for v in keys[i])
+        coords = ",".join(repr(v) for v in reps[i])
+        w = ",".join(str(s) for s in words[i])
         lines.append(f"{cell} {coords} {w}")
     return lines
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFixedPoint, NotInvertible
-from .ifs import IFS, ReachSet, Word, forward_orbit
+from .ifs import IFS, CellSet, ReachSet, Word, forward_orbit
 from .maps import SmoothMap, affine_map
 from .shifts import ShiftPoint, insert_word
 from .spaces import Box, StateSpace
@@ -222,16 +222,16 @@ def enumerate_unstable(
 
     out = UnstableEnumeration(base_point=p, depth=depth, leaves=leaves)
     if eps is not None:
-        reach = ReachSet(space=phi.fiber_space, eps=eps, seed=_fiber_point_array(y))
-        key0 = reach.key_of(reach.seed)
-        reach.grid[key0] = ((), reach.seed)
-        for leaf in leaves:
-            pt = _fiber_point_array(leaf.fiber)
-            k = reach.key_of(pt)
-            if k not in reach.grid:
-                reach.grid[k] = (leaf.word, pt)
-        reach.visited_count = len(leaves) + 1
-        out.projection = reach
+        # the seed and every leaf fiber, one root row per occupied cell: the
+        # leaves' words are skew words, not witnesses of the fiber system
+        pts = np.array([_fiber_point_array(y)] + [_fiber_point_array(leaf.fiber) for leaf in leaves])
+        keys = phi.fiber_space.cell_index(pts, eps)
+        first = CellSet(phi.fiber_space, eps).add_new(keys)
+        roots = np.full(len(first), -1, dtype=np.intp)
+        out.projection = ReachSet(
+            space=phi.fiber_space, eps=eps, seed=pts[0], keys=keys[first], reps=pts[first],
+            parent=roots, symbol=roots, visited_count=len(pts),
+        )
     return out
 
 

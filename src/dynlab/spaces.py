@@ -59,13 +59,6 @@ class StateSpace:
     def dim(self) -> int:
         return len(self.factors)
 
-    @property
-    def is_compact(self) -> bool:
-        return True  # intervals are closed, circles are compact
-
-    def circle_mask(self) -> np.ndarray:
-        return np.array([isinstance(f, Circle) for f in self.factors])
-
     def extents(self) -> np.ndarray:
         return np.array([f.extent for f in self.factors])
 
@@ -128,9 +121,6 @@ class StateSpace:
             out = max(out, f.extent if isinstance(f, Interval) else f.period / 2.0)
         return out
 
-    def volume(self) -> float:
-        return float(np.prod(self.extents()))
-
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform samples; shape (dim,) if n is None else (n, dim)."""
         size = (self.dim,) if n is None else (n, self.dim)
@@ -148,6 +138,15 @@ class StateSpace:
                 n_i = max(1, int(round(f.period / eps)))
                 idx[..., i] = np.mod(idx[..., i], n_i)
         return idx
+
+    def cell_range(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest cell_index key, per factor, of points in the space."""
+        lo = np.floor(self.lower() / eps).astype(np.int64)
+        hi = np.floor(self.upper() / eps).astype(np.int64)
+        for i, f in enumerate(self.factors):
+            if isinstance(f, Circle):
+                lo[i], hi[i] = 0, max(1, int(round(f.period / eps))) - 1
+        return lo, hi
 
     def total_cells(self, eps: float) -> int:
         n = 1

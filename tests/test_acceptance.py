@@ -386,5 +386,5 @@ def test_criterion_13_determinism(dyadic_ifs):
         ok = ok and comparable_json(r1) == comparable_json(r2)
     a = forward_orbit(dyadic_ifs, [0.0], depth=8, eps=1 / 128)
     b = forward_orbit(dyadic_ifs, [0.0], depth=8, eps=1 / 128)
-    ok = ok and a.cells() == b.cells() and all(a.grid[k][0] == b.grid[k][0] for k in a.grid)
+    ok = ok and a.cells() == b.cells() and a.words() == b.words()
     report("criterion 13: identical configs reproduce cell sets and verdicts", ok, t0)

@@ -153,7 +153,7 @@ def test_reachset_and_certificate_serialization(tmp_path, dyadic_ifs):
 
     reach = forward_orbit(dyadic_ifs, [0.0], depth=4, eps=1 / 16)
     lines = reachset_lines(reach)
-    assert len(lines) == len(reach.grid)
+    assert len(lines) == len(reach.cells())
     cell, coords, word = lines[1].split(" ")
     assert "," not in cell or cell.count(",") == 0  # 1D cell index
     save_reachset(reach, tmp_path / "reach.txt")

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynlab.errors import PointOutsideDomain
 from dynlab.spaces import Box, Circle, Interval, StateSpace, annulus, torus, unit_interval_space
@@ -73,3 +75,20 @@ def test_ball_is_box_in_max_metric():
     assert not b.contains([0.8, 0.5])
     assert b.radius == pytest.approx(0.25)
     assert b.clearance([0.5, 0.5]) == pytest.approx(0.25)
+
+
+@given(
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**20), 2**20),
+    st.integers(-3, 3),
+    st.sampled_from([1.0, 0.5, 4.0]),
+    st.integers(1, 10),
+)
+def test_cell_index_is_periodic_on_circle_factors(i, j, m, period, k):
+    # dyadic coordinates and periods keep x + m * period exact in floating
+    # point; where the sum rounds, the shifted point can sit in the next cell
+    sp = StateSpace((Circle(period), Interval(-1.0, 1.0), Circle(period)))
+    eps = 2.0**-k
+    x = np.array([i * 2.0**-18, 0.25, j * 2.0**-18])
+    shifted = x + np.array([m * period, 0.0, -m * period])
+    np.testing.assert_array_equal(sp.cell_index(shifted, eps), sp.cell_index(x, eps))
