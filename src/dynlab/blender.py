@@ -13,7 +13,7 @@ by replaying the word through the actual map, perturbed or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class GeometricBlenderModel:
     region_cu: Box | None = None
     symplectic: bool = False
     anchor: int = 0  # rectangle of the distinguished fixed point
+    _map: SmoothMap | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -146,6 +147,9 @@ class GeometricBlenderModel:
         return J
 
     def as_map(self) -> SmoothMap:
+        """The model as one SmoothMap, built once per model."""
+        if self._map is not None:
+            return self._map
         space = self.product_space()
 
         def jac(x):
@@ -170,6 +174,7 @@ class GeometricBlenderModel:
             symplectic=self.symplectic,
             inverse=fwd,
         )
+        self._map = fwd
         return fwd
 
     def fiber_ifs_cs(self) -> IFS:
@@ -414,11 +419,10 @@ def verify_strip_intersection(
     rectangle first.
     """
     Gmap = model.as_map() if G is None else G
-    P = (
-        model.fixed_point()
-        if G is None
-        else _continued_fixed_point(model, Gmap)
-    )
+    # the model's own map needs no continuation or shooting: its fixed point
+    # and starts are exact
+    exact = Gmap is model.as_map()
+    P = model.fixed_point() if exact else _continued_fixed_point(model, Gmap)
     base = model.base
     r0 = model.anchor
     ny = model.ny
@@ -482,7 +486,7 @@ def verify_strip_intersection(
             ) from e
         return {"hit": False, "reason": str(e), "witness_word": None}
 
-    if G is not None:
+    if not exact:
         # perturbed base dynamics amplify start errors along the unstable
         # direction; re-shoot the free coordinates so the replay tracks the
         # itinerary cylinders and meets its endpoint targets
@@ -521,7 +525,7 @@ def verify_strip_intersection(
                 "reason": f"itinerary broke at step {t}: rect {r} != {sym}",
                 "witness_word": itinerary,
             }
-        p = Gmap.raw(p) if G is not None else model.eval(p)
+        p = model.eval(p) if exact else Gmap.raw(p)
 
     if strip.kind == "s":
         final = p

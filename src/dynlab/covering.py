@@ -76,32 +76,16 @@ def cover_unit_ball(n: int, r: float) -> np.ndarray:
 
 
 def translation_count(n: int, lam: float) -> int:
-    """Generator count 2*k1 used by construct_translations."""
-    return 2 * len(cover_unit_ball(n, lam / 4.0))
+    """Generator count 2*k1 + 1 of construct_translations (phi included)."""
+    return 2 * len(cover_unit_ball(n, lam / 4.0)) + 1
 
 
 # ---------------------------------------------------------------------------
-# image-inclusion primitives
+# image-inclusion oracle
 # ---------------------------------------------------------------------------
 
-def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    dim = len(lo)
-    out = np.zeros((2**dim, dim))
-    for j in range(2**dim):
-        for a in range(dim):
-            out[j, a] = hi[a] if (j >> a) & 1 else lo[a]
-    return out
-
-
-def _box_samples(lo: np.ndarray, hi: np.ndarray, per_axis: int = 3) -> tuple[np.ndarray, float]:
-    """Subgrid of a box and the max distance of any box point to the grid."""
-    axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    spacing = float(np.max((hi - lo) / (per_axis - 1))) if per_axis > 1 else float(
-        np.max(hi - lo)
-    )
-    return pts, spacing / 2.0
+def _is_diagonal(A: np.ndarray) -> bool:
+    return np.allclose(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)
 
 
 def _diag_image_box(gen: SmoothMap, source: Box) -> tuple[np.ndarray, np.ndarray] | None:
@@ -115,51 +99,42 @@ def _diag_image_box(gen: SmoothMap, source: Box) -> tuple[np.ndarray, np.ndarray
     return source.lo * a + b, source.hi * a + b
 
 
-def _relative_side_slack(
-    region: Box, img_lo: np.ndarray, img_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray
+def _slack(
+    gen: SmoothMap, source: Box, lo: np.ndarray, hi: np.ndarray, bind: Box | None
 ) -> np.ndarray:
-    """Slack of boxes [lo, hi] inside [img_lo, img_hi], relative to the region.
+    """Certified slack of every box [lo[i], hi[i]] inside gen(source).
 
-    Image sides that reach the region boundary do not bind: the inclusion is
-    of box-intersect-region into the image, per the relative-ball convention.
-    Broadcasts over leading axes of lo/hi.
+    lo and hi have shape (m, n); positive slack certifies the inclusion.
+    Positive-diagonal affine generators: exact distance to the image box
+    sides; sides that reach the boundary of bind do not bind (the inclusion
+    is of box-intersect-bind, per the relative-ball convention), and every
+    side binds when bind is None. Other generators: clearance in the source
+    of pulled-back points, exact from the 2^n corners for affine maps, else
+    from a 3-per-axis subgrid minus half the sample gap over lam. The gap is
+    read from the first box: boxes of one batch share their sides, as grid
+    cells do. A degenerate box is its own single sample.
     """
-    lo_bind = img_lo > region.lo + INSIDE_TOL
-    hi_bind = img_hi < region.hi - INSIDE_TOL
-    s_lo = np.where(lo_bind, lo - img_lo, np.inf)
-    s_hi = np.where(hi_bind, img_hi - hi, np.inf)
-    return np.minimum(s_lo, s_hi).min(axis=-1)
-
-
-def box_inside_image(gen: SmoothMap, region: Box, box: Box, per_axis: int = 3) -> float:
-    """Certified slack of (box intersect region) subset gen(region).
-
-    Positive-diagonal affine generators: exact, with region-relative sides.
-    Other affine generators: exact corner pullbacks, absolute clearance.
-    General generators: sampled pullbacks minus Lipschitz slack (gap)/(2 lam).
-    """
-    clipped = box.intersect(region)
-    diag = _diag_image_box(gen, region)
-    if diag is not None:
-        img_lo, img_hi = diag
-        return float(
-            _relative_side_slack(region, img_lo, img_hi, clipped.lo, clipped.hi)
-        )
-    if gen.affine is not None:
-        pts = _corners(clipped.lo, clipped.hi)
-        pulled = gen.invert(pts)
-        return float(np.min(region.clearance(pulled)))
-    if gen.lam is None:
+    image = _diag_image_box(gen, source)
+    if image is not None:
+        img_lo, img_hi = image
+        if bind is None:
+            s_lo, s_hi = lo - img_lo, img_hi - hi
+        else:
+            s_lo = np.where(img_lo > bind.lo + INSIDE_TOL, lo - img_lo, np.inf)
+            s_hi = np.where(img_hi < bind.hi - INSIDE_TOL, img_hi - hi, np.inf)
+        return np.minimum(s_lo, s_hi).min(axis=-1)
+    if gen.affine is None and gen.lam is None:
         raise NoMetadata(f"{gen.name}: contraction bound needed for inclusion check")
-    pts, half_gap = _box_samples(clipped.lo, clipped.hi, per_axis)
-    pulled = gen.invert(pts)
-    return float(np.min(region.clearance(pulled))) - half_gap / gen.lam
-
-
-def ball_fits(gen: SmoothMap, region: Box, center: np.ndarray, rho: float) -> float:
-    """Slack of (B_rho(center) intersect region) subset gen(region)."""
-    ball = Box.ball(region.space, center, rho).intersect(region)
-    return box_inside_image(gen, region, ball)
+    m, n = lo.shape
+    per_axis = 1 if np.array_equal(lo, hi) else 2 if gen.affine is not None else 3
+    axes = np.linspace(lo, hi, per_axis, axis=1)  # (m, per_axis, n)
+    pick = np.indices((per_axis,) * n).reshape(n, -1).T  # subgrid, last axis fastest
+    pts = axes[:, pick, np.arange(n)].reshape(-1, n)
+    clear = source.clearance(gen.invert(pts)).reshape(m, -1).min(axis=1)
+    if gen.affine is not None:
+        return clear
+    half_gap = float(np.max((hi[0] - lo[0]) / 2)) / 2.0
+    return clear - half_gap / gen.lam
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +151,6 @@ class CoveringCertificate:
     margin: float  # least slack of the assigned generators
     lam: float
     lip: float
-    robust_margin: float | None = None  # least best-generator slack, when computed
     d_value: float | None = None
     well_distributed: bool | None = None
     wd_witness: np.ndarray | None = None
@@ -199,33 +173,6 @@ class CoveringCertificate:
         return int(self.assignment[self.cell_of(x)])
 
 
-def _cell_slacks(
-    gen: SmoothMap, region: Box, cells: list[Box], idx: np.ndarray, src_region: Box | None = None
-) -> np.ndarray:
-    """Vectorized inclusion slack of the indexed cells in gen(src_region)."""
-    src_region = src_region if src_region is not None else region
-    diag = _diag_image_box(gen, src_region)
-    if diag is not None:
-        img_lo, img_hi = diag
-        lo = np.array([cells[i].lo for i in idx])
-        hi = np.array([cells[i].hi for i in idx])
-        return _relative_side_slack(region, img_lo, img_hi, lo, hi)
-    if gen.affine is not None:
-        pts = np.concatenate([_corners(cells[i].lo, cells[i].hi) for i in idx])
-        per = 2 ** region.space.dim
-        pulled = gen.invert(pts)
-        return src_region.clearance(pulled).reshape(len(idx), per).min(axis=1)
-    if gen.lam is None:
-        raise NoMetadata(f"{gen.name}: contraction bound needed for inclusion check")
-    sampled = [_box_samples(cells[i].lo, cells[i].hi) for i in idx]
-    per = len(sampled[0][0])
-    pts = np.concatenate([s[0] for s in sampled])
-    half_gap = sampled[0][1]
-    pulled = gen.invert(pts)
-    clear = src_region.clearance(pulled).reshape(len(idx), per).min(axis=1)
-    return clear - half_gap / gen.lam
-
-
 def verify_covering(
     ifs: IFS, region: Box, grid_step: float, image_region: Box | None = None
 ) -> CoveringCertificate:
@@ -243,115 +190,39 @@ def verify_covering(
     """
     src_region = image_region if image_region is not None else region
     lam, lip = ifs.contraction_bounds()
-    cells = region.cells(grid_step)
-    counts = []
-    steps = []
-    for a, b in zip(region.lo, region.hi):
-        k = max(1, int(np.ceil((b - a) / grid_step - 1e-12)))
-        counts.append(k)
-        steps.append((b - a) / k)
-    n_cells = len(cells)
-
-    diag_boxes = [_diag_image_box(g, src_region) for g in ifs.generators]
-    if all(d is not None for d in diag_boxes):
-        assignment, margins, robust = _assign_all_diagonal(region, cells, diag_boxes)
-    else:
-        assignment, margins = _assign_generic(ifs, region, cells, src_region)
-        robust = None
+    counts, steps = region.grid_axes(grid_step)
+    centers = region.grid(grid_step)
+    lo, hi = centers - steps / 2.0, centers + steps / 2.0
+    assignment = np.full(len(centers), -1, dtype=int)
+    margins = np.full(len(centers), -np.inf)
+    # second pass: tight (zero-slack) covers, e.g. images that split the
+    # region along a shared edge; sampled checks cannot certify those
+    for tight in (False, True):
+        for gi, gen in enumerate(ifs.generators):
+            todo = np.nonzero(assignment < 0)[0]
+            if len(todo) == 0:
+                break
+            if tight and gen.affine is None:
+                continue
+            slack = _slack(gen, src_region, lo[todo], hi[todo], bind=region)
+            hit = slack >= -INSIDE_TOL if tight else slack > INSIDE_TOL
+            assignment[todo[hit]] = gi
+            margins[todo[hit]] = np.maximum(slack[hit], 0.0) if tight else slack[hit]
 
     if np.any(assignment < 0):
         bad = int(np.nonzero(assignment < 0)[0][0])
-        raise Uncovered(
-            f"cell centered at {cells[bad].center} is in no generator image",
-            witness=cells[bad],
-        )
+        cell = Box(region.space, lo[bad], hi[bad])
+        raise Uncovered(f"cell centered at {cell.center} is in no generator image", witness=cell)
     return CoveringCertificate(
         region=region,
         grid_step=grid_step,
-        axis_counts=np.array(counts),
-        axis_steps=np.array(steps),
+        axis_counts=counts,
+        axis_steps=steps,
         assignment=assignment,
         margin=float(margins.min()),
         lam=lam,
         lip=lip,
-        robust_margin=robust,
     )
-
-
-def _assign_all_diagonal(
-    region: Box, cells: list[Box], diag_boxes: list
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fast assignment when every generator image is an exact box."""
-    lo = np.array([c.lo for c in cells])  # (m, n)
-    hi = np.array([c.hi for c in cells])
-    img_lo = np.array([d[0] for d in diag_boxes])  # (k, n)
-    img_hi = np.array([d[1] for d in diag_boxes])
-    m = len(cells)
-    assignment = np.full(m, -1, dtype=int)
-    margins = np.full(m, -np.inf)
-    best = np.full(m, -np.inf)
-    chunk = max(1, int(2_000_000 / max(1, len(diag_boxes))))
-    for s in range(0, m, chunk):
-        e = min(m, s + chunk)
-        slack = _relative_side_slack(
-            region,
-            img_lo[None, :, :],
-            img_hi[None, :, :],
-            lo[s:e, None, :],
-            hi[s:e, None, :],
-        )  # (chunk, k)
-        pos = slack > INSIDE_TOL
-        first = np.argmax(pos, axis=1)
-        has = pos[np.arange(e - s), first]
-        # tight (zero-slack) covers acceptable where nothing has positive slack
-        tight = slack >= -INSIDE_TOL
-        first_t = np.argmax(tight, axis=1)
-        has_t = tight[np.arange(e - s), first_t]
-        gi = np.where(has, first, np.where(has_t, first_t, -1))
-        assignment[s:e] = gi
-        sl = np.where(
-            has,
-            slack[np.arange(e - s), first],
-            np.where(has_t, np.maximum(slack[np.arange(e - s), first_t], 0.0), -np.inf),
-        )
-        margins[s:e] = sl
-        best[s:e] = slack.max(axis=1)
-    return assignment, margins, float(best.min())
-
-
-def _assign_generic(
-    ifs: IFS, region: Box, cells: list[Box], src_region: Box | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    src_region = src_region if src_region is not None else region
-    n_cells = len(cells)
-    assignment = np.full(n_cells, -1, dtype=int)
-    margins = np.full(n_cells, -np.inf)
-
-    # first pass: lowest generator with strictly positive slack
-    for gi, gen in enumerate(ifs.generators):
-        todo = np.nonzero(assignment < 0)[0]
-        if len(todo) == 0:
-            break
-        slack = _cell_slacks(gen, region, cells, todo, src_region)
-        hit = slack > INSIDE_TOL
-        assignment[todo[hit]] = gi
-        margins[todo[hit]] = slack[hit]
-
-    # second pass: accept tight (zero-slack) exact covers, e.g. images that
-    # split the region along a shared edge
-    todo = np.nonzero(assignment < 0)[0]
-    if len(todo) > 0:
-        for gi, gen in enumerate(ifs.generators):
-            if gen.affine is None:
-                continue  # sampled checks cannot certify a tight cover
-            sub = np.nonzero(assignment < 0)[0]
-            if len(sub) == 0:
-                break
-            slack = _cell_slacks(gen, region, cells, sub, src_region)
-            hit = slack >= -INSIDE_TOL
-            assignment[sub[hit]] = gi
-            margins[sub[hit]] = np.maximum(slack[hit], 0.0)
-    return assignment, margins
 
 
 def compute_d(
@@ -363,95 +234,36 @@ def compute_d(
 ) -> float:
     """Lower bound on max{r | every x in region has B_r(x) inside some image}.
 
-    Grid approximation from below: for each grid point the best radius over
-    generators is bisected with certified inclusion tests, then the grid gap
-    is subtracted (the radius function is 1-Lipschitz in x).
+    Grid approximation from below: each grid point is a degenerate box whose
+    slack bounds its best radius over generators, then the grid gap is
+    subtracted (the radius function is 1-Lipschitz in x).
     """
     src_region = image_region if image_region is not None else region
     if cert is None:
         cert = verify_covering(ifs, region, grid_step, image_region=image_region)
     pts = region.grid(grid_step)
-    rho_cap = region.radius
+    # image sides on the region boundary do not bind only for the region's
+    # own images; every side of a larger image region's image binds
+    bind = region if image_region is None else None
     best = np.zeros(len(pts))
-
-    diag = [g for g in ifs.generators if g.affine is not None and _is_diagonal(g.affine[0])]
-    diag_ids = {id(g) for g in diag}
-    rest = [g for g in ifs.generators if id(g) not in diag_ids]
-    if diag:
-        img_lo = np.array([_diag_image_box(g, src_region)[0] for g in diag])  # (k, n)
-        img_hi = np.array([_diag_image_box(g, src_region)[1] for g in diag])
-        if image_region is None:
-            # relative convention: image sides on the region boundary do not bind
-            lo_bind = img_lo > region.lo + INSIDE_TOL
-            hi_bind = img_hi < region.hi - INSIDE_TOL
-        else:
-            lo_bind = np.ones_like(img_lo, dtype=bool)
-            hi_bind = np.ones_like(img_hi, dtype=bool)
-        chunk = max(1, int(2_000_000 / max(1, len(diag))))
-        for s in range(0, len(pts), chunk):
-            e = min(len(pts), s + chunk)
-            p = pts[s:e, None, :]
-            low = np.where(lo_bind[None], p - img_lo[None], np.inf)
-            high = np.where(hi_bind[None], img_hi[None] - p, np.inf)
-            rho = np.minimum(low, high).min(axis=2)  # (chunk, k)
-            best[s:e] = np.maximum(best[s:e], np.maximum(rho, 0.0).max(axis=1))
-    for gen in rest:
-        if gen.lam is not None:
+    for gen in ifs.generators:
+        rho = np.maximum(_slack(gen, src_region, pts, pts, bind), 0.0)
+        if _diag_image_box(gen, src_region) is None:
             # inverse-Lipschitz bound: B_rho(x) sits inside gen(src_region)
-            # whenever rho <= lam * clearance of the pulled-back point
-            pulled = gen.invert(pts)
-            rho = gen.lam * np.maximum(src_region.clearance(pulled), 0.0)
-            best = np.maximum(best, rho)
-        else:
-            best = np.maximum(best, _bisect_rho(gen, region, pts, rho_cap))
+            # whenever rho <= lam * clearance of the pulled-back point, with
+            # lam the max-metric bound; for affine maps 1/||A^-1||_inf, as the
+            # declared lam comes from (Euclidean) singular values
+            lam = gen.lam
+            if gen.affine is not None:
+                lam = 1.0 / float(np.abs(np.linalg.inv(gen.affine[0])).sum(axis=1).max())
+            rho = lam * rho
+        best = np.maximum(best, rho)
 
     d = float(best.min()) - grid_step / 2.0
     if d <= 0:
         raise Uncovered("no positive inner radius on the grid", witness=None)
     cert.d_value = d
     return d
-
-
-def _is_diagonal(A: np.ndarray) -> bool:
-    return np.allclose(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)
-
-
-def _diag_affine_rho(gen: SmoothMap, region: Box, pts: np.ndarray) -> np.ndarray:
-    """Exact ball-in-image radius for positive diagonal affine generators.
-
-    The image of the region is a box; sides of the image that reach the
-    region boundary do not bind because certificate balls are taken
-    relative to the region.
-    """
-    A, b = gen.affine
-    a = np.diag(A)
-    img_lo = region.lo * a + b
-    img_hi = region.hi * a + b
-    lo_bind = img_lo > region.lo + INSIDE_TOL
-    hi_bind = img_hi < region.hi - INSIDE_TOL
-    low = np.where(lo_bind, pts - img_lo, np.inf)
-    high = np.where(hi_bind, img_hi - pts, np.inf)
-    rho = np.minimum(low, high).min(axis=1)
-    return np.maximum(rho, 0.0)
-
-
-def _bisect_rho(
-    gen: SmoothMap, region: Box, pts: np.ndarray, rho_cap: float, iters: int = 30
-) -> np.ndarray:
-    out = np.zeros(len(pts))
-    for i, p in enumerate(pts):
-        lo, hi = 0.0, rho_cap
-        if ball_fits(gen, region, p, hi) > 0:
-            out[i] = hi
-            continue
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if ball_fits(gen, region, p, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = lo
-    return out
 
 
 def verify_well_distributed(
@@ -551,7 +363,7 @@ def construct_translations(phi: SmoothMap, lam: float, eps: float) -> IFS:
 
     region = Box.ball(space, origin, eps)
     out = IFS(generators=gens, domain_region=region)
-    out.info = {"k1": k1, "k": 2 * k1, "eps": eps, "lam": lam, "grid": centers}
+    out.info = {"k1": k1, "eps": eps, "lam": lam, "grid": centers}
     return out
 
 

@@ -97,14 +97,6 @@ class BlockSchedule:
                     "enlarged cylinder blocks would overlap; reduce enlarge_frac"
                 )
 
-    @property
-    def j1(self) -> tuple[int, ...]:
-        return (0, 2 * self.l + 1, 2 * self.l + 2)
-
-    @property
-    def j2(self) -> tuple[int, ...]:
-        return (0, 2 * self.l + 3, 2 * self.l + 4)
-
     def forward_codes(self) -> tuple[int, int, int]:
         """Symbols selecting T1, T2, T3 along forward minimality itineraries."""
         return (0, 2 * self.l + 1, 2 * self.l + 2)
@@ -118,9 +110,9 @@ class BlockSchedule:
             return "blender-contracting"
         if self.l + 1 <= j <= 2 * self.l:
             return "blender-expanding"
-        if i in (2 * self.l + 1, 2 * self.l + 2) and j in self.j1:
+        if i in (2 * self.l + 1, 2 * self.l + 2) and j in self.forward_codes():
             return "minimality-forward"
-        if i in self.j2 and j in (2 * self.l + 3, 2 * self.l + 4):
+        if i in self.backward_codes() and j in (2 * self.l + 3, 2 * self.l + 4):
             return "minimality-backward"
         return "untouched"
 
@@ -279,13 +271,13 @@ def build_F_mu(
         for idx, fam in enumerate(minimality_pack[:2]):
             row = 2 * l + 1 + idx
             full = fam.at(t_min)
-            for j in schedule.j1:
+            for j in schedule.forward_codes():
                 post[(row, j)] = (full, schedule.u_ramp(row, j), fam, t_min)
             T_fwd.append(compose(full, f2, name=f"T{idx + 2}"))
         for idx, fam in enumerate(minimality_pack[:2]):
             col = 2 * l + 3 + idx
             neg = fam.at(-t_min)
-            for i in schedule.j2:
+            for i in schedule.backward_codes():
                 pre[(i, col)] = (neg, schedule.u_ramp(i, col), fam, -t_min)
             # the fiber map on these blocks is f2 composed after the pre flow
             T_bwd.append(compose(f2, neg, name=f"T{idx + 2}bwd"))

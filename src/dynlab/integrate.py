@@ -87,23 +87,3 @@ def implicit_midpoint_with_jacobian(
         x = y
     return (x[0], J[0]) if single else (x, J)
 
-
-def hamiltonian_field(h: Callable[[np.ndarray], np.ndarray], fd_step: float = 1e-6):
-    """Symplectic gradient of a scalar function on paired coordinates
-    (a_1, b_1, a_2, b_2, ...): da/dt = dH/db, db/dt = -dH/da."""
-
-    def field(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dim = x.shape[-1]
-        grad = np.empty_like(x)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = fd_step
-            grad[..., i] = (h(x + e) - h(x - e)) / (2.0 * fd_step)
-        out = np.empty_like(x)
-        for i in range(0, dim, 2):
-            out[..., i] = grad[..., i + 1]
-            out[..., i + 1] = -grad[..., i]
-        return out
-
-    return field

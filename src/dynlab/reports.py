@@ -66,11 +66,6 @@ def certificate_lines(cert) -> list[str]:
     return [f"{i} {int(g)}" for i, g in enumerate(cert.assignment)]
 
 
-def save_certificate(cert, path: str | Path) -> None:
-    head = f"# margin {cert.margin!r} grid_step {cert.grid_step!r}"
-    Path(path).write_text(head + "\n" + "\n".join(certificate_lines(cert)) + "\n")
-
-
 def save_point_cloud(path: str | Path, points: np.ndarray, words=None, coord_names=None) -> None:
     """CSV columns: one per coordinate, then the witness word (dot-joined)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

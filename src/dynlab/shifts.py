@@ -117,15 +117,6 @@ class ShiftPoint:
             p = p.shift() if n > 0 else p.unshift()
         return p
 
-    def replace_left(self, word: tuple[int, ...]) -> "ShiftPoint":
-        """New point with x_0, x_-1, ... prefixed by the word, left tail pushed out.
-
-        word reads (x_0, x_-1, ...); deeper indices keep this point's left side.
-        """
-        return ShiftPoint(
-            self.d, tuple(word) + self.left_pre, self.left_per, self.right_pre, self.right_per
-        )
-
     def splice_right(self, other: "ShiftPoint") -> "ShiftPoint":
         """Keep this left side (i <= 0), take the other's right side (i >= 1)."""
         return ShiftPoint(

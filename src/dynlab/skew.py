@@ -81,15 +81,6 @@ class SkewProduct:
         if self.expanding is not None and len(self.expanding) != self.d:
             raise ValueError("need one expanding fiber map per symbol")
 
-    def bi_lipschitz(self) -> float:
-        """Uniform constant L with 1/L <= d(phi y, phi y')/d(y, y') <= L."""
-        out = 1.0
-        for f in self.contracting:
-            if f.smooth.lam is None or f.smooth.lip is None:
-                continue
-            out = max(out, f.smooth.lip, 1.0 / f.smooth.lam)
-        return out
-
     def fixed_point(self, symbol: int = 0, fiber_guess=0.0) -> tuple[ShiftPoint, object]:
         """Fixed point over the constant-symbol base; exact when the fiber map
         knows its own fixed point, contraction iteration otherwise."""
@@ -168,9 +159,6 @@ class UnstableEnumeration:
 
     def leaves_at(self, n: int) -> list[UnstableLeaf]:
         return [l for l in self.leaves if len(l.word) == n]
-
-    def fiber_points(self) -> list:
-        return [l.fiber for l in self.leaves]
 
 
 def local_unstable(phi: SkewProduct, p: tuple[ShiftPoint, object]) -> dict:

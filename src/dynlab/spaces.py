@@ -9,7 +9,7 @@ circle factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,22 +225,14 @@ class Box:
         size = (self.space.dim,) if n is None else (n, self.space.dim)
         return self.lo + rng.random(size) * self.sides
 
+    def grid_axes(self, step: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis cell counts and cell sides of the grid of spacing <= step."""
+        counts = np.maximum(1, np.ceil(self.sides / step - 1e-12).astype(np.int64))
+        return counts, self.sides / counts
+
     def grid(self, step: float) -> np.ndarray:
         """Cell-center grid of spacing <= step covering the box, shape (m, dim)."""
-        axes = []
-        for a, b in zip(self.lo, self.hi):
-            k = max(1, int(np.ceil((b - a) / step - 1e-12)))
-            h = (b - a) / k
-            axes.append(a + h * (np.arange(k) + 0.5))
+        counts, sides = self.grid_axes(step)
+        axes = [a + h * (np.arange(k) + 0.5) for a, h, k in zip(self.lo, sides, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def cells(self, step: float) -> list["Box"]:
-        """Closed cells of an axis grid of spacing <= step tiling the box."""
-        centers = self.grid(step)
-        halves = []
-        for a, b in zip(self.lo, self.hi):
-            k = max(1, int(np.ceil((b - a) / step - 1e-12)))
-            halves.append((b - a) / k / 2.0)
-        halves = np.array(halves)
-        return [Box(self.space, c - halves, c + halves) for c in centers]

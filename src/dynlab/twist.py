@@ -16,10 +16,9 @@ from math import ceil, pi, sin
 import numpy as np
 
 from .errors import DomainOverflow, HorizonExhausted, NoChain
-from .ifs import IFS
 from .integrate import implicit_midpoint, implicit_midpoint_with_jacobian
 from .maps import SmoothMap, compose
-from .spaces import Box, Circle, Interval, StateSpace, annulus, torus
+from .spaces import Box, Circle, Interval, StateSpace, annulus
 
 
 def twist_map(
@@ -149,20 +148,6 @@ def bump_eta_prime(x) -> np.ndarray | float:
         eta = np.exp(4.0) * np.exp(-1.0 / (xi * (1.0 - xi)))
     out[inside] = eta * (1.0 - 2.0 * xi) / (xi * (1.0 - xi)) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def annulus_hamiltonian(eps: float):
-    """The explicit radial-bump Hamiltonian driving the circle-moving flow."""
-
-    def h(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = x[..., 0]
-        th = 2 * pi * x[..., 1]
-        eta = bump_eta(r)
-        denom = 1.0 + eps * eta
-        return eta * (r**2 * np.sin(th) + r**2 * np.cos(th) * denom**2) / denom
-
-    return h
 
 
 def bump_eta_second(x) -> np.ndarray | float:
@@ -299,11 +284,6 @@ class ToriChain:
 
     def __len__(self) -> int:
         return len(self.links)
-
-
-def _wrap_dist(a: float, b: float, period: float | None) -> float:
-    d = abs(a - b)
-    return min(d, period - d) if period is not None else d
 
 
 def chain_of_tori_search(

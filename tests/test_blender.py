@@ -341,3 +341,22 @@ def test_witness_distance_shrinks_with_depth(symplectic_model, symplectic_model_
         residuals.append(abs(rep["final"][2] - sample_fiber[0]))
     assert residuals[2] <= 1 / 64
     assert residuals[0] <= 1 / 4 and residuals[1] <= 1 / 16
+
+
+def test_model_map_takes_the_exact_path(symplectic_model, symplectic_model_report):
+    # the model's own map (eta = 0 hands it back from perturb_map) needs no
+    # fixed-point continuation or shooting: same word and start as G=None
+    model = symplectic_model
+    rep0 = symplectic_model_report
+    F = model.as_map()
+    assert model.as_map() is F
+    assert perturb_map(F, 0.0, seed=1) is F
+    strips = sample_strips(model, "s", 4, 1 / 32, seed=5)
+    strips += sample_strips(model, "u", 4, 1 / 32, seed=6)
+    for s in strips:
+        kw = dict(fiber_cert_cu=rep0["fiber_cert_cu"])
+        exact = verify_strip_intersection(model, s, rep0["fiber_cert"], 30, eps=0.02, **kw)
+        via_map = verify_strip_intersection(model, s, rep0["fiber_cert"], 30, eps=0.02, G=F, **kw)
+        assert exact["hit"] and via_map["hit"]
+        assert via_map["witness_word"] == exact["witness_word"]
+        np.testing.assert_array_equal(via_map["start"], exact["start"])

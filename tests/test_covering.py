@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynlab.covering import (
+    _slack,
     backward_itinerary,
     certify_density,
     compute_d,
@@ -13,8 +16,8 @@ from dynlab.covering import (
 )
 from dynlab.errors import LambdaOutOfRange, Uncovered
 from dynlab.ifs import IFS
-from dynlab.maps import affine_map
-from dynlab.perturb import perturb_ifs
+from dynlab.maps import SmoothMap, affine_map
+from dynlab.perturb import perturb_ifs, perturb_map
 from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
 
 
@@ -110,6 +113,146 @@ def test_well_distributed_empty_fixed_points():
 
 
 # ---------------------------------------------------------------------------
+# sheared affine generators: corner pullbacks and inverse-Lipschitz radii
+# ---------------------------------------------------------------------------
+
+def sheared_ifs():
+    sq = unit_interval_space(2)
+    A = [[0.5, 0.1], [0.0, 0.5]]
+    gens = [
+        affine_map(sq, A, [0.25 * i, 0.25 * j], name=f"g{i}{j}")
+        for i in range(3)
+        for j in range(3)
+    ]
+    return IFS(gens, Box(sq, [0.0, 0.0], [1.0, 1.0]))
+
+
+def test_sheared_certificate_pulls_every_cell_back():
+    ifs = sheared_ifs()
+    square = ifs.domain_region
+    region = Box(ifs.space, [0.3, 0.3], [0.7, 0.7])
+    cert = verify_covering(ifs, region, 1 / 16, image_region=square)
+    assert cert.valid
+    rng = np.random.default_rng(9)
+    idx = np.stack(np.unravel_index(np.arange(len(cert.assignment)), cert.axis_counts), -1)
+    for cell, gi in zip(idx, cert.assignment):
+        lo = region.lo + cell * cert.axis_steps
+        pts = lo + rng.random((50, 2)) * cert.axis_steps
+        pulled = ifs.generators[gi].invert(pts)
+        assert np.all(square.contains(pulled, tol=1e-12))
+
+
+def test_sheared_d_balls_fit_in_an_image():
+    ifs = sheared_ifs()
+    square = ifs.domain_region
+    region = Box(ifs.space, [0.3, 0.3], [0.7, 0.7])
+    cert = verify_covering(ifs, region, 1 / 16, image_region=square)
+    d = compute_d(ifs, region, 1 / 64, cert, image_region=square)
+    assert d > 0 and cert.d_value == d
+    # images are parallelograms, so a ball (a box) fits iff its corners do
+    signs = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+    rng = np.random.default_rng(10)
+    for x in region.sample(rng, 300):
+        corners = x + d * signs
+        assert any(
+            np.all(square.contains(g.invert(corners), tol=1e-12)) for g in ifs.generators
+        )
+
+
+def curved_map(space, c=0.01, k=6):
+    """(x, y) -> (x/2 + 1/4 + c sin(2 pi k y), y/2 + 1/4): its image has wavy
+    sides, so a box can keep a 3-per-axis subgrid inside and still stick out."""
+    w = 2 * np.pi * k
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        u = 0.5 * x[..., 0] + 0.25 + c * np.sin(w * x[..., 1])
+        return np.stack([u, 0.5 * x[..., 1] + 0.25], -1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = J[..., 1, 1] = 0.5
+        J[..., 0, 1] = c * w * np.cos(w * x[..., 1])
+        return J
+
+    # ||J^-1||_inf <= 2 + 4 c w bounds the max-metric contraction from below
+    lam = 1 / (2 + 4 * c * w)
+    return SmoothMap(space, space, fn, jac=jac, name="curved", lam=lam, lip=0.5 + c * w)
+
+
+def slack_generators():
+    sq = unit_interval_space(2)
+    diag = affine_map(sq, [[0.5, 0.0], [0.0, 0.4]], [0.25, 0.3], name="diag")
+    shear = affine_map(sq, [[0.5, 0.1], [0.0, 0.5]], [0.2, 0.25], name="shear")
+    return {
+        "diagonal": diag,
+        "sheared": shear,
+        "perturbed": perturb_map(diag, 0.02, seed=3),
+        "curved": curved_map(sq),
+    }
+
+
+SLACK_GENERATORS = slack_generators()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(SLACK_GENERATORS)),
+    st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)), min_size=1, max_size=4),
+    st.floats(0.0, 0.1),
+    st.floats(0.0, 0.1),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+# a box whose 3-per-axis subgrid pulls back inside while points between
+# the samples do not: only the gap term keeps its slack from being positive
+@example("curved", [(0.27, 0.4)], 0.02, 0.08, False, 0)
+def test_positive_slack_means_the_box_pulls_back(form, centers, rx, ry, relative, seed):
+    # boxes of one batch share their sides, as the cells of a grid do
+    gen = SLACK_GENERATORS[form]
+    square = Box(gen.domain, [0.0, 0.0], [1.0, 1.0])
+    half = np.array([rx, ry])
+    c = np.array(centers)
+    lo, hi = c - half, c + half
+    inside = np.all((lo >= 0.0) & (hi <= 1.0), axis=1)
+    lo, hi = lo[inside], hi[inside]
+    if len(lo) == 0:
+        return
+    slack = _slack(gen, square, lo, hi, square if relative else None)
+    t = np.linspace(0.0, 1.0, 9)
+    grid = np.stack(np.meshgrid(t, t, indexing="ij"), -1).reshape(-1, 2)
+    unit = np.concatenate([grid, np.random.default_rng(seed).random((40, 2))])
+    for b_lo, b_hi in zip(lo[slack > 0], hi[slack > 0]):
+        pulled = gen.invert(b_lo + unit * (b_hi - b_lo))
+        assert np.all(square.contains(pulled, tol=1e-12)), (form, b_lo, b_hi)
+
+
+@pytest.mark.parametrize("form", ["sheared", "perturbed", "curved"])
+def test_slack_matches_a_per_cell_reference(form):
+    # the pulled-back forms, one cell at a time: corners for affine maps,
+    # a 3-per-axis subgrid minus the gap term otherwise
+    gen = SLACK_GENERATORS[form]
+    square = Box(gen.domain, [0.0, 0.0], [1.0, 1.0])
+    region = Box(gen.domain, [0.3, 0.2], [0.7, 0.8])
+    counts, sides = region.grid_axes(1 / 16)
+    centers = region.grid(1 / 16)
+    lo, hi = centers - sides / 2.0, centers + sides / 2.0
+    per_axis = 2 if gen.affine is not None else 3
+    expected = []
+    for a, b in zip(lo, hi):
+        axes = [np.linspace(x, y, per_axis) for x, y in zip(a, b)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], -1)
+        clear = float(np.min(square.clearance(gen.invert(pts))))
+        gap = 0.0 if gen.affine is not None else float(np.max(b - a)) / 4.0 / gen.lam
+        expected.append(clear - gap)
+    got = _slack(gen, square, lo, hi, None)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    points = _slack(gen, square, centers, centers, None)
+    np.testing.assert_allclose(points, square.clearance(gen.invert(centers)), rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # translated-contraction construction
 # ---------------------------------------------------------------------------
 
@@ -125,8 +268,6 @@ def certificates_for(ifs, lam, eps):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
 def test_construct_translations_certified(n, lam):
-    if n == 3 and lam != 0.3:
-        pytest.skip("one third-dimensional configuration keeps the suite fast")
     space = StateSpace(tuple(Interval(-1, 1) for _ in range(n)))
     phi = affine_map(space, lam * np.eye(n), np.zeros(n), name="phi")
     eps = 0.9 * (1 - lam) / (1 + lam)
@@ -140,7 +281,12 @@ def test_construct_translations_certified(n, lam):
 def test_translation_count_formula():
     # the greedy cover oracle supplies the ball-covering constant: counts
     # scale like (1/lam)^n with the dimension in the exponent
-    assert translation_count(1, 0.5) == 2 * len(cover_unit_ball(1, 0.125))
+    assert translation_count(1, 0.5) == 2 * len(cover_unit_ball(1, 0.125)) + 1
+    for n, lam in ((1, 0.3), (1, 0.5), (2, 0.5), (2, 0.7), (3, 0.7)):
+        space = StateSpace(tuple(Interval(-1, 1) for _ in range(n)))
+        phi = affine_map(space, lam * np.eye(n), np.zeros(n), name="phi")
+        eps = 0.9 * (1 - lam) / (1 + lam)
+        assert translation_count(n, lam) == construct_translations(phi, lam, eps).k
     assert len(cover_unit_ball(1, 0.125)) == 8
     assert len(cover_unit_ball(2, 0.125)) == 64
     k1_many = len(cover_unit_ball(1, 0.3 / 4))

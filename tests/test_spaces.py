@@ -60,8 +60,8 @@ def test_cell_index_wraps_on_circles():
 def test_box_grid_and_cells_cover():
     sp = unit_interval_space(2)
     box = Box(sp, [0.0, 0.0], [1.0, 0.5])
-    cells = box.cells(0.25)
-    assert len(cells) == 4 * 2
+    counts, sides = box.grid_axes(0.25)
+    assert counts.tolist() == [4, 2] and sides.tolist() == [0.25, 0.25]
     centers = box.grid(0.25)
     assert len(centers) == 8
     for c in centers:
