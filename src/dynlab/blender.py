@@ -40,6 +40,17 @@ from .maps import SmoothMap
 from .spaces import Box, StateSpace
 
 
+def _by_rect(maps: list[SmoothMap], idx: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
+    """maps[r].method on the rows of x whose index is r, one call per index
+    present; "jacobian" rows come out as (n, n) matrices."""
+    tail = x.shape[-1:] * (2 if method == "jacobian" else 1)
+    out = np.empty((len(x),) + tail)
+    for r in np.unique(idx).tolist():
+        rows = idx == r
+        out[rows] = getattr(maps[r], method)(x[rows])
+    return out
+
+
 @dataclass(eq=False)
 class GeometricBlenderModel:
     base: HorseshoeBase
@@ -73,96 +84,62 @@ class GeometricBlenderModel:
             factors = factors + tuple(self.region_cu.space.factors)
         return StateSpace(factors)
 
-    def split(self, p: np.ndarray):
-        b = p[..., :2]
-        y = p[..., 2 : 2 + self.ny]
-        z = p[..., 2 + self.ny :] if self.nz else None
+    def split(self, p):
+        """Base, cs-fiber and cu-fiber (or None) columns of p as a batch of rows."""
+        rows = np.asarray(p, dtype=float).reshape(-1, self.dim)
+        b = rows[:, :2]
+        y = rows[:, 2 : 2 + self.ny]
+        z = rows[:, 2 + self.ny :] if self.nz else None
         return b, y, z
 
     def eval(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
         b, y, z = self.split(p)
         i = self.base.rect_of(b)
         if np.any(i < 0):
             raise ValueError("model evaluated in a gap between rectangles")
         fb = self.base.apply(b)
-        j = self.base.nearest_rect(fb[..., 1]) if z is not None else None
-        if p.ndim == 1:
-            fy = self.fibers_cs[int(i)].raw(y)
-            parts = [fb, fy]
-            if z is not None:
-                parts.append(self.fibers_cu[int(j)].raw(z))
-            return np.concatenate(parts, axis=-1)
-        fy = np.empty_like(y)
-        fz = np.empty_like(z) if z is not None else None
-        for r in range(self.k):
-            m = i == r
-            if np.any(m):
-                fy[m] = self.fibers_cs[r].raw(y[m])
-            if z is not None:
-                mj = j == r
-                if np.any(mj):
-                    fz[mj] = self.fibers_cu[r].raw(z[mj])
-        parts = [fb, fy] + ([fz] if z is not None else [])
-        return np.concatenate(parts, axis=-1)
+        parts = [fb, _by_rect(self.fibers_cs, i, y, "raw")]
+        if z is not None:
+            j = self.base.nearest_rect(fb[:, 1])
+            parts.append(_by_rect(self.fibers_cu, j, z, "raw"))
+        return np.concatenate(parts, axis=-1).reshape(np.shape(p))
 
     def eval_inv(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
         b, y, z = self.split(p)
-        i = self.base.col_of_s(b[..., 0])
+        i = self.base.col_of_s(b[:, 0])
         if np.any(i < 0):
             raise ValueError("model inverse evaluated outside image columns")
-        j = self.base.nearest_rect(b[..., 1]) if z is not None else None
-        fb = self.base.apply_inv(b)
-        if p.ndim == 1:
-            fy = self.fibers_cs[int(i)].invert(y)
-            parts = [fb, fy]
-            if z is not None:
-                parts.append(self.fibers_cu[int(j)].invert(z))
-            return np.concatenate(parts, axis=-1)
-        fy = np.empty_like(y)
-        fz = np.empty_like(z) if z is not None else None
-        for r in range(self.k):
-            m = i == r
-            if np.any(m):
-                fy[m] = self.fibers_cs[r].invert(y[m])
-            if z is not None:
-                mj = j == r
-                if np.any(mj):
-                    fz[mj] = self.fibers_cu[r].invert(z[mj])
-        parts = [fb, fy] + ([fz] if z is not None else [])
-        return np.concatenate(parts, axis=-1)
-
-    def jacobian_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        b, y, z = self.split(p)
-        i = int(self.base.rect_of(b))
-        J = np.zeros((self.dim, self.dim))
-        J[0, 0] = self.base.mu_ss
-        J[1, 1] = self.base.mu_uu
-        J[2 : 2 + self.ny, 2 : 2 + self.ny] = self.fibers_cs[i].jacobian(y)
+        parts = [self.base.apply_inv(b), _by_rect(self.fibers_cs, i, y, "invert")]
         if z is not None:
-            j = int(self.base.nearest_rect(self.base.apply(b)[..., 1]))
-            J[2 + self.ny :, 2 + self.ny :] = self.fibers_cu[j].jacobian(z)
-        return J
+            j = self.base.nearest_rect(b[:, 1])
+            parts.append(_by_rect(self.fibers_cu, j, z, "invert"))
+        return np.concatenate(parts, axis=-1).reshape(np.shape(p))
+
+    def jacobian(self, p) -> np.ndarray:
+        """Block-diagonal Jacobian: the base rates, then each fiber's own."""
+        b, y, z = self.split(p)
+        ny = self.ny
+        J = np.zeros((len(b), self.dim, self.dim))
+        J[:, 0, 0] = self.base.mu_ss
+        J[:, 1, 1] = self.base.mu_uu
+        J[:, 2 : 2 + ny, 2 : 2 + ny] = _by_rect(
+            self.fibers_cs, self.base.rect_of(b), y, "jacobian"
+        )
+        if z is not None:
+            j = self.base.nearest_rect(self.base.apply(b)[:, 1])
+            J[:, 2 + ny :, 2 + ny :] = _by_rect(self.fibers_cu, j, z, "jacobian")
+        return J.reshape(np.shape(p) + (self.dim,))
 
     def as_map(self) -> SmoothMap:
         """The model as one SmoothMap, built once per model."""
         if self._map is not None:
             return self._map
         space = self.product_space()
-
-        def jac(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return self.jacobian_at(x)
-            return np.stack([self.jacobian_at(q) for q in x])
-
         fwd = SmoothMap(
             domain=space,
             codomain=space,
             fn=self.eval,
-            jac=jac,
+            jac=self.jacobian,
             name="blender-model",
             symplectic=self.symplectic,
         )
@@ -516,16 +493,14 @@ def verify_strip_intersection(
             }
 
     # exact replay through the actual map, checking the base itinerary
-    p = start.copy()
-    for t, sym in enumerate(itinerary):
+    t, p = _replay(base, Gmap, start, itinerary)
+    if t < len(itinerary):
         r = int(base.rect_of(p[:2]))
-        if r != sym:
-            return {
-                "hit": False,
-                "reason": f"itinerary broke at step {t}: rect {r} != {sym}",
-                "witness_word": itinerary,
-            }
-        p = model.eval(p) if exact else Gmap.raw(p)
+        return {
+            "hit": False,
+            "reason": f"itinerary broke at step {t}: rect {r} != {itinerary[t]}",
+            "witness_word": itinerary,
+        }
 
     if strip.kind == "s":
         final = p
@@ -553,6 +528,16 @@ def verify_strip_intersection(
         "start": start,
         "final": p,
     }
+
+
+def _replay(base: HorseshoeBase, Gmap: SmoothMap, p0: np.ndarray, itinerary: Word):
+    """(number of itinerary steps the orbit of p0 follows, point reached)."""
+    p = p0.copy()
+    for t, sym in enumerate(itinerary):
+        if int(base.rect_of(p[:2])) != sym:
+            return t, p
+        p = Gmap.raw(p)
+    return len(itinerary), p
 
 
 def _pull_through(fibers: list[SmoothMap], itinerary: Word, level) -> np.ndarray:
@@ -583,19 +568,9 @@ def _shoot_start(
     ny = model.ny
     m = len(itinerary)
 
-    def replay(p0: np.ndarray):
-        """(itinerary ok count, final point)."""
-        p = p0.copy()
-        for t, sym in enumerate(itinerary):
-            r = int(base.rect_of(p[:2]))
-            if r != sym:
-                return t, p
-            p = Gmap.raw(p)
-        return m, p
-
     def u_score(p0: np.ndarray) -> float:
         """Signed surrogate, increasing in the start u; 0 when on target."""
-        k, p = replay(p0)
+        k, p = _replay(base, Gmap, p0, itinerary)
         if k < m:
             sym = itinerary[k]
             lo = base.slab_lo[sym]
@@ -635,7 +610,7 @@ def _shoot_start(
         def z_final(z0: float) -> float | None:
             q = p0.copy()
             q[2 + ny] = z0
-            k, p = replay(q)
+            k, p = _replay(base, Gmap, q, itinerary)
             return None if k < m else float(p[2 + ny] - z_target[0])
 
         w = 1e-4
@@ -681,7 +656,7 @@ def _shoot_start(
         if p0z is None:
             return None
         p0 = p0z
-    k, p = replay(p0)
+    k, p = _replay(base, Gmap, p0, itinerary)
     if k < m or abs(p[1] - u_target) > 1e-5:
         return None
     if z_target is not None and model.nz and abs(p[2 + ny] - z_target[0]) > 1e-5:

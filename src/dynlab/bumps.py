@@ -192,52 +192,37 @@ def hamiltonian_bump_translation(
         out[..., 1::2, :] = -HH[..., 0::2, :]
         return out
 
-    def fn(x):
+    def pieces(x, sign):
+        """Rows of x, their exact translates by sign * delta, and the rows
+        translated exactly (source in U, target in the core) or flowed
+        through the collar; the rest, outside U_tilde, stay put."""
+        pts = x.reshape(-1, space.dim)
+        moved = pts + sign * delta
+        src, dst = (pts, moved) if sign > 0 else (moved, pts)
+        inside = U.contains(src) & core.contains(dst)
+        collar = ~inside & U_tilde.contains(pts, tol=0.0)
+        return pts, moved, inside, collar
+
+    def flow(x, sign):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, space.dim)
+        pts, moved, inside, collar = pieces(x, sign)
         out = pts.copy()
-        inside = U.contains(pts) & core.contains(pts + delta)
-        outside = ~(U_tilde.contains(pts, tol=0.0))
-        out[inside] = pts[inside] + delta
-        collar = ~(inside | outside)
+        out[inside] = moved[inside]
         if np.any(collar):
-            out[collar] = implicit_midpoint(field, pts[collar], 1.0, steps)
-        out = out.reshape(x.shape)
-        return out[0] if single and out.ndim > 1 else out
+            out[collar] = implicit_midpoint(field, pts[collar], float(sign), steps)
+        return out.reshape(x.shape)
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, space.dim)
-        J = np.broadcast_to(np.eye(space.dim), pts.shape[:-1] + (space.dim,) * 2).copy()
-        inside = U.contains(pts) & core.contains(pts + delta)
-        outside = ~(U_tilde.contains(pts, tol=0.0))
-        collar = ~(inside | outside)
+        pts, _, _, collar = pieces(x, 1)
+        J = np.broadcast_to(np.eye(space.dim), pts.shape + (space.dim,)).copy()
         if np.any(collar):
-            _, Jc = implicit_midpoint_with_jacobian(field, dfield, pts[collar], 1.0, steps)
-            J[collar] = Jc
-        J = J.reshape(x.shape + (space.dim,))
-        return J[0] if single and J.ndim > 2 else J
+            J[collar] = implicit_midpoint_with_jacobian(field, dfield, pts[collar], 1.0, steps)[1]
+        return J.reshape(x.shape + (space.dim,))
 
     name = f"bump-translate({np.round(delta, 6)})"
-    fwd = SmoothMap(space, space, fn, jac=jac, name=name, symplectic=True)
-
-    def fn_inv(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, space.dim)
-        out = pts.copy()
-        came_inside = U.contains(pts - delta) & core.contains(pts)
-        outside = ~(U_tilde.contains(pts, tol=0.0))
-        out[came_inside] = pts[came_inside] - delta
-        collar = ~(came_inside | outside)
-        if np.any(collar):
-            out[collar] = implicit_midpoint(field, pts[collar], -1.0, steps)
-        out = out.reshape(x.shape)
-        return out[0] if single and out.ndim > 1 else out
-
+    fwd = SmoothMap(space, space, lambda x: flow(x, 1), jac=jac, name=name, symplectic=True)
     fwd.inverse = SmoothMap(
-        space, space, fn_inv, name=name + "^-1", symplectic=True, inverse=fwd
+        space, space, lambda x: flow(x, -1), name=name + "^-1", symplectic=True, inverse=fwd
     )
     return fwd

@@ -85,7 +85,7 @@ def translation_count(n: int, lam: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _is_diagonal(A: np.ndarray) -> bool:
-    return np.allclose(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)
+    return np.array_equal(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)
 
 
 def _diag_image_box(gen: SmoothMap, source: Box) -> tuple[np.ndarray, np.ndarray] | None:

@@ -152,60 +152,43 @@ class FMuFamily:
     def eps(self) -> float:
         return self.mu / self.zeta
 
-    def split(self, p: np.ndarray):
-        return p[..., :2], p[..., 2:]
-
-    def _fiber_action(self, table, key, chi: float, y: np.ndarray) -> np.ndarray:
-        full_map, _, family, t_full = table[key]
-        if chi >= 1.0 - 1e-15:
-            return full_map.raw(y)
-        return family.at(t_full * chi).raw(y)
+    def _block(self, table, b: np.ndarray) -> SmoothMap | None:
+        """The table's fiber flow at base point b: the full-time map where
+        the block's u-cutoff is 1, the flow at the cut-off time in its
+        collar, None off every block of the table."""
+        if not table:
+            return None
+        i = int(self.base.rect_of(b))
+        if i < 0:
+            return None
+        key = (i, int(self.base.nearest_rect(self.base.apply(b)[1])))
+        if key not in table:
+            return None
+        full_map, ramp, family, t_full = table[key]
+        chi = float(ramp.value(b[1]))
+        if chi <= 0:
+            return None
+        return full_map if chi >= 1.0 - 1e-15 else family.at(t_full * chi)
 
     def eval(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.ndim > 1:
+            # pointwise: each collar point flows for its own time, and the
+            # collar integrator stops on the residual of its whole batch
             return np.stack([self.eval(q) for q in p])
-        b, y = self.split(p)
+        b, y = p[:2], p[2:]
         fiber_space = self.f2.domain
-        if self.mu == 0.0:
-            return np.concatenate(
-                [self.base.apply(b), fiber_space.canonicalize(self.f2.raw(y))]
-            )
         # pre flow (inverse-time side), block tested at the source point
-        i0 = int(self.base.rect_of(b))
-        j0 = int(self.base.nearest_rect(self.base.apply(b)[1]))
-        y1 = y
-        key = (i0, j0)
-        if key in self.fiber_pre:
-            _, ramp, family, t_full = self.fiber_pre[key]
-            chi = float(ramp.value(b[1]))
-            if chi > 0:
-                y1 = self._fiber_action(self.fiber_pre, key, chi, y)
-        # the product
+        pre = self._block(self.fiber_pre, b)
+        if pre is not None:
+            y = pre.raw(y)
         b2 = self.base.apply(b)
-        y2 = fiber_space.canonicalize(self.f2.raw(y1))
+        y2 = fiber_space.canonicalize(self.f2.raw(y))
         # post flow, block tested at the image point
-        i1 = int(self.base.rect_of(b2))
-        if i1 >= 0:
-            j1 = int(self.base.nearest_rect(self.base.apply(b2)[1]))
-            key = (i1, j1)
-            if key in self.fiber_post:
-                _, ramp, family, t_full = self.fiber_post[key]
-                chi = float(ramp.value(b2[1]))
-                if chi > 0:
-                    y2 = fiber_space.canonicalize(
-                        self._fiber_action(self.fiber_post, key, chi, y2)
-                    )
+        post = self._block(self.fiber_post, b2)
+        if post is not None:
+            y2 = fiber_space.canonicalize(post.raw(y2))
         return np.concatenate([b2, y2])
-
-    def as_map(self) -> SmoothMap:
-        return SmoothMap(
-            domain=self.product_space,
-            codomain=self.product_space,
-            fn=self.eval,
-            name=f"F_mu({self.mu})",
-            symplectic=True,
-        )
 
 
 def build_F_mu(

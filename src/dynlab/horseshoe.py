@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RectanglesOverlap
-from .maps import SmoothMap
 from .spaces import Box, StateSpace, unit_interval_space
 
 
@@ -68,15 +67,18 @@ class HorseshoeBase:
             np.array([1.0, self.slab_lo[i] + self.height]),
         )
 
+    @staticmethod
+    def _slot(lo: np.ndarray, width: float, x) -> np.ndarray:
+        """Index of the interval [lo_i, lo_i + width] holding x, -1 in gaps."""
+        x = np.asarray(x, dtype=float)
+        # searchsorted gives -1..n-1 here, so only the lower side needs a bound
+        idx = np.maximum(np.searchsorted(lo, x + 1e-15) - 1, 0)
+        inside = (x >= lo[idx] - 1e-12) & (x <= lo[idx] + width + 1e-12)
+        return np.where(inside, idx, -1)
+
     def rect_of_u(self, u) -> np.ndarray:
         """Rectangle index of the u-coordinate, -1 in gaps."""
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.slab_lo, u + 1e-15) - 1
-        idx = np.clip(idx, 0, self.n_rect - 1)
-        inside = (u >= self.slab_lo[idx] - 1e-12) & (
-            u <= self.slab_lo[idx] + self.height + 1e-12
-        )
-        return np.where(inside, idx, -1)
+        return self._slot(self.slab_lo, self.height, u)
 
     def rect_of(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -86,21 +88,14 @@ class HorseshoeBase:
         """Index of the slab nearest to the u-coordinate (total function)."""
         u = np.asarray(u, dtype=float)
         centers = self.slab_lo + self.height / 2.0
-        idx = np.searchsorted(centers, u)
-        idx = np.clip(idx, 0, self.n_rect - 1)
-        lower = np.clip(idx - 1, 0, self.n_rect - 1)
+        idx = np.minimum(np.searchsorted(centers, u), self.n_rect - 1)
+        lower = np.maximum(idx - 1, 0)
         pick_lower = np.abs(u - centers[lower]) <= np.abs(u - centers[idx])
         return np.where(pick_lower, lower, idx)
 
     def col_of_s(self, s) -> np.ndarray:
         """Column index of the s-coordinate (for inverse lookup), -1 in gaps."""
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.col_lo, s + 1e-15) - 1
-        idx = np.clip(idx, 0, self.n_rect - 1)
-        inside = (s >= self.col_lo[idx] - 1e-12) & (
-            s <= self.col_lo[idx] + self.mu_ss + 1e-12
-        )
-        return np.where(inside, idx, -1)
+        return self._slot(self.col_lo, self.mu_ss, s)
 
     def apply(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -119,28 +114,6 @@ class HorseshoeBase:
         s_old = (b[..., 0] - self.col_lo[i]) / self.mu_ss
         u_old = b[..., 1] / self.mu_uu + self.slab_lo[i]
         return np.stack([s_old, u_old], axis=-1)
-
-    def as_map(self) -> SmoothMap:
-        J = np.array([[self.mu_ss, 0.0], [0.0, self.mu_uu]])
-        Jinv = np.linalg.inv(J)
-        fwd = SmoothMap(
-            domain=self.ambient,
-            codomain=self.ambient,
-            fn=self.apply,
-            jac=lambda x: np.broadcast_to(J, np.shape(x)[:-1] + (2, 2)).copy(),
-            name="horseshoe",
-            symplectic=abs(self.mu_ss * self.mu_uu - 1.0) < 1e-12,
-        )
-        fwd.inverse = SmoothMap(
-            domain=self.ambient,
-            codomain=self.ambient,
-            fn=self.apply_inv,
-            jac=lambda x: np.broadcast_to(Jinv, np.shape(x)[:-1] + (2, 2)).copy(),
-            name="horseshoe^-1",
-            symplectic=fwd.symplectic,
-            inverse=fwd,
-        )
-        return fwd
 
     # -- exact symbolic conjugacy -----------------------------------------
 

@@ -9,6 +9,24 @@ import numpy as np
 from .errors import IntegratorDiverged
 
 
+def _midpoint_step(field, x: np.ndarray, h: float, tol: float, max_inner: int) -> np.ndarray:
+    """One implicit-midpoint step of size h from x: the fixed point y of
+    y = x + h * field((x + y) / 2), iterated from the explicit Euler guess."""
+    y = x + h * field(x)
+    d = np.inf
+    for _ in range(max_inner):
+        y_new = x + h * field(0.5 * (x + y))
+        d = np.max(np.abs(y_new - y))
+        y = y_new
+        if d < tol:
+            break
+    # finite-difference fields plateau at rounding level; accept that,
+    # reject genuine stalls
+    if d >= 1000 * tol:
+        raise IntegratorDiverged("implicit midpoint inner iteration stalled")
+    return y
+
+
 def implicit_midpoint(
     field: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -30,19 +48,7 @@ def implicit_midpoint(
         return x
     h = t / steps
     for _ in range(steps):
-        y = x + h * field(x)
-        d = np.inf
-        for _ in range(max_inner):
-            y_new = x + h * field(0.5 * (x + y))
-            d = np.max(np.abs(y_new - y))
-            y = y_new
-            if d < tol:
-                break
-        # finite-difference fields plateau at rounding level; accept that,
-        # reject genuine stalls
-        if d >= 1000 * tol:
-            raise IntegratorDiverged("implicit midpoint inner iteration stalled")
-        x = y
+        x = _midpoint_step(field, x, h, tol, max_inner)
     return x
 
 
@@ -61,29 +67,16 @@ def implicit_midpoint_with_jacobian(
     with M the field derivative at the midpoint (a Cayley transform, exactly
     symplectic when M is an infinitesimally symplectic matrix)."""
     x = np.asarray(x0, dtype=float).copy()
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     dim = x.shape[-1]
-    J = np.broadcast_to(np.eye(dim), x.shape[:-1] + (dim, dim)).copy()
-    if t == 0.0:
-        return (x[0], J[0]) if single else (x, J)
-    h = t / steps
     eye = np.eye(dim)
+    J = np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
+    if t == 0.0:
+        return x, J
+    h = t / steps
     for _ in range(steps):
-        y = x + h * field(x)
-        d = np.inf
-        for _ in range(max_inner):
-            y_new = x + h * field(0.5 * (x + y))
-            d = np.max(np.abs(y_new - y))
-            y = y_new
-            if d < tol:
-                break
-        if d >= 1000 * tol:
-            raise IntegratorDiverged("implicit midpoint inner iteration stalled")
+        y = _midpoint_step(field, x, h, tol, max_inner)
         M = dfield(0.5 * (x + y))
         step_jac = np.linalg.solve(eye - 0.5 * h * M, eye + 0.5 * h * M)
         J = step_jac @ J
         x = y
-    return (x[0], J[0]) if single else (x, J)
-
+    return x, J

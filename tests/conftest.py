@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from dynlab.blender import build_geometric_model, verify_covering_geometric
 from dynlab.horseshoe import HorseshoeBase
 from dynlab.ifs import IFS
 from dynlab.maps import affine_map
 from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
+
+# property tests judge results, never wall-clock time: one example may take
+# several times longer when the machine is busy
+settings.register_profile("dynlab", deadline=None)
+settings.load_profile("dynlab")
 
 
 @pytest.fixture(scope="session")

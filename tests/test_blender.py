@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlab.blender import (
     ConeField,
@@ -74,6 +76,29 @@ def test_product_exactness(symplectic_model):
         assert np.array_equal(out[2:3], model.fibers_cs[r].raw(y))
         j = int(base.nearest_rect(base.apply(b)[1]))
         assert np.array_equal(out[3:], model.fibers_cu[j].raw(z))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(0, 2), unit, unit, unit, unit), max_size=9))
+def test_batches_evaluate_as_their_rows(symplectic_model, extra):
+    # one row in every rectangle, then any others: a batch evaluates bit for
+    # bit as its rows one at a time, and a point comes back as a point
+    model = symplectic_model
+    base, dim = model.base, model.dim
+    rows = [(r, 0.5, 0.5, 0.5, 0.5) for r in range(model.k)] + extra
+    pts = np.array([[s, base.slab_lo[r] + f * base.height, y, z] for r, s, f, y, z in rows])
+    for fn, batch, tail in (
+        (model.eval, pts, (dim,)),
+        (model.eval_inv, model.eval(pts), (dim,)),
+        (model.jacobian, pts, (dim, dim)),
+    ):
+        singles = [fn(p) for p in batch]
+        assert all(out.shape == tail for out in singles)
+        assert np.array_equal(fn(batch), np.stack(singles))
+        assert np.array_equal(fn(batch[None]), np.stack(singles)[None])
 
 
 def test_full_product_symplectic(symplectic_model):
@@ -267,6 +292,34 @@ def test_bump_translation_symplectic_and_invertible():
     assert rep["pass"]
     inner = rng.uniform(-0.75, 0.75, (40, 2))
     assert np.max(np.abs(bt.inverse(bt(inner)) - inner)) < 1e-10
+
+
+def test_bump_translation_batches_keep_shapes_and_closed_forms():
+    # rows translated exactly or left outside the support are closed forms,
+    # the same bits in a batch as alone; collar rows share one integrator
+    # whose inner solve stops on the batch-wide residual, so only shapes compare
+    sp = pair_space()
+    U = Box(sp, [-0.2, -0.2], [0.2, 0.2])
+    Ut = Box(sp, [-0.8, -0.8], [0.8, 0.8])
+    bt = hamiltonian_bump_translation([0.1], [0.05], U, Ut)
+    delta = np.array([0.1, 0.05])
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([rng.uniform(-0.2, 0.2, (8, 2)), rng.uniform(-0.95, 0.95, (40, 2))])
+    outside = ~Ut.contains(pts, tol=0.0)
+    fwd_in, inv_in = U.contains(pts), U.contains(pts - delta)
+    for fn, moved, expected in (
+        (bt.raw, fwd_in, np.where(fwd_in[:, None], pts + delta, pts)),
+        (bt.inverse.raw, inv_in, np.where(inv_in[:, None], pts - delta, pts)),
+        (bt.jacobian, fwd_in, np.broadcast_to(np.eye(2), (len(pts), 2, 2))),
+    ):
+        closed = moved | outside
+        assert moved.sum() >= 5 and outside.sum() >= 5 and (~closed).sum() >= 10
+        batch = fn(pts)
+        tail = batch.shape[1:]
+        assert fn(pts[0]).shape == tail
+        assert fn(pts.reshape(6, 8, 2)).shape == (6, 8) + tail
+        assert np.array_equal(batch[closed], expected[closed])
+        assert np.array_equal(batch[closed], np.stack([fn(p) for p in pts[closed]]))
 
 
 def test_bump_translation_vector_too_large():

@@ -142,6 +142,23 @@ def test_sheared_certificate_pulls_every_cell_back():
         assert np.all(square.contains(pulled, tol=1e-12))
 
 
+@pytest.mark.parametrize("off_diagonal", [5e-9, 0.0])
+def test_near_diagonal_generator_is_not_certified_by_its_diagonal(off_diagonal):
+    # the image of [0, 1]^2 under this shear misses the corner (0.25, 0.75)
+    # of the region by 1e-8 in the pullback, far more than the cell tolerance
+    sq = unit_interval_space(2)
+    square = Box(sq, [0.0, 0.0], [1.0, 1.0])
+    region = Box(sq, [0.25, 0.25], [0.75, 0.75])
+    gen = affine_map(sq, [[0.5, off_diagonal], [0.0, 0.5]], [0.25, 0.25])
+    ifs = IFS([gen], square)
+    if off_diagonal:
+        assert gen.invert(np.array([0.25, 0.75]))[0] < 0.0
+        with pytest.raises(Uncovered):
+            verify_covering(ifs, region, 1 / 16, image_region=square)
+    else:
+        assert verify_covering(ifs, region, 1 / 16, image_region=square).valid
+
+
 def test_sheared_d_balls_fit_in_an_image():
     ifs = sheared_ifs()
     square = ifs.domain_region
@@ -196,7 +213,7 @@ def slack_generators():
 SLACK_GENERATORS = slack_generators()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.sampled_from(sorted(SLACK_GENERATORS)),
     st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)), min_size=1, max_size=4),
@@ -364,6 +381,44 @@ def test_density_words_always_land(triple_ifs):
         word = certify_density(triple_ifs, [0.0], Box.ball(triple_ifs.space, c, r), 60, cert)
         landed = triple_ifs.apply_word(word, [0.0])
         assert triple_ifs.space.distance(landed, c) < r
+
+
+def certified_systems():
+    """IFSs whose covering certificate is valid on their own region: affine
+    halvings of the line, translated planar contractions, and the latter
+    perturbed (Newton inverses, sampled slacks)."""
+    line = unit_interval_space(1)
+    triple = IFS([affine_map(line, [[0.5]], [c]) for c in (0.0, 0.25, 0.5)], Box(line, [0.0], [1.0]))
+    lam = 0.5
+    eps = 0.9 * (1 - lam) / (1 + lam)
+    plane = StateSpace((Interval(-1, 1), Interval(-1, 1)))
+    translations = construct_translations(affine_map(plane, lam * np.eye(2), np.zeros(2)), lam, eps)
+    perturbed = perturb_ifs(translations, 0.01, seed=3)
+    step = eps * lam / 2
+    systems = {"triple": (triple, 1 / 32), "translations": (translations, step), "perturbed": (perturbed, step)}
+    return {name: (ifs, verify_covering(ifs, ifs.domain_region, g)) for name, (ifs, g) in systems.items()}
+
+
+CERTIFIED = certified_systems()
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(sorted(CERTIFIED)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 10),
+)
+def test_backward_itinerary_stays_in_a_valid_certificate(name, frac, steps):
+    ifs, cert = CERTIFIED[name]
+    assert cert.valid
+    region = cert.region
+    x = region.lo + np.array(frac[: region.space.dim]) * (region.hi - region.lo)
+    word = backward_itinerary(ifs, x, steps, cert)
+    assert len(word) == steps
+    p = x
+    for s in word:
+        p = ifs.generators[s].invert(p)
+        assert region.contains(p, tol=1e-9)
 
 
 def test_backward_itinerary_dyadic(dyadic_ifs):

@@ -100,6 +100,21 @@ def test_untouched_blocks_are_plain_product(desk):
     assert np.array_equal(out, rhs)
 
 
+def test_batch_evaluates_as_its_rows(desk):
+    base, sched, f2, pack, ball = desk
+    fm = build_F_mu(base, f2, sched, 1.0, pack, blender_ball=ball, zeta=20.0)
+    rng = np.random.default_rng(4)
+    rects = rng.integers(0, base.n_rect, 60)
+    u = base.slab_lo[rects] + rng.uniform(0, 1, 60) * base.height
+    pts = np.column_stack([rng.uniform(0, 1, 60), u, rng.uniform(0, 1, (60, 2))])
+    out = fm.eval(pts)
+    assert out.shape == pts.shape
+    assert np.array_equal(out, np.stack([fm.eval(p) for p in pts]))
+    # some rows meet a scheduled block, so they are not the plain product
+    plain = f2.domain.canonicalize(f2.raw(pts[:, 2:]))
+    assert np.any(out[:, 2:] != plain)
+
+
 def test_itinerary_realizes_words(desk):
     base, sched, f2, pack, ball = desk
     fm = build_F_mu(base, f2, sched, 1.0, pack, blender_ball=ball, zeta=20.0)

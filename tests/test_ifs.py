@@ -243,13 +243,13 @@ def test_images_leaving_an_interval_keep_their_cell():
     assert_matches_reference(reach, dict_forward_orbit(ifs, [0.1, 0.7], 1, 1 / 4))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.floats(0.0, 1.0))
 def test_witnesses_replay_from_random_seed_interval(triple_ifs, x):
     assert replay_check(triple_ifs, forward_orbit(triple_ifs, [x], depth=6, eps=1 / 64))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
 def test_witnesses_replay_from_random_seed_torus(torus_pack_ifs, x, y):
     reach = forward_orbit(torus_pack_ifs, [x, y], depth=10**6, eps=1 / 32, budget=3000)

@@ -1,6 +1,22 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dynlab.shifts import ShiftPoint, insert_word
+from dynlab.shifts import ShiftPoint, _normalize, insert_word
+
+
+@st.composite
+def raw_tails(draw):
+    """An alphabet size and two (preperiod, period) tails, unnormalized."""
+    d = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, d - 1), max_size=6).map(tuple)
+    period = st.lists(st.integers(0, d - 1), min_size=1, max_size=6).map(tuple)
+    return d, draw(word), draw(period), draw(word), draw(period)
+
+
+def outward(pre, per, k):
+    """The k-th symbol of an outward tail reading."""
+    return pre[k] if k < len(pre) else per[(k - len(pre)) % len(per)]
 
 
 def test_shift_unshift_are_inverse_bijections():
@@ -82,3 +98,24 @@ def test_fixed_point_detection():
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         ShiftPoint.constant(2, 5)
+
+
+@given(raw_tails(), st.integers(1, 9))
+def test_shift_and_unshift_invert_each_other(tails, n):
+    x = ShiftPoint(*tails)
+    assert x.shift().unshift() == x
+    assert x.unshift().shift() == x
+    assert x.shifted(n).shifted(-n) == x
+    assert x.shifted(n).window(-8, 8) == x.window(n - 8, n + 8)
+
+
+@given(raw_tails())
+def test_normalization_is_idempotent_and_keeps_the_sequence(tails):
+    d, lp, lq, rp, rq = tails
+    x = ShiftPoint(d, lp, lq, rp, rq)
+    assert _normalize(x.left_pre, x.left_per) == (x.left_pre, x.left_per)
+    assert _normalize(x.right_pre, x.right_per) == (x.right_pre, x.right_per)
+    again = ShiftPoint(d, x.left_pre, x.left_per, x.right_pre, x.right_per)
+    assert again == x and hash(again) == hash(x)
+    assert all(x.symbol(-k) == outward(lp, lq, k) for k in range(40))
+    assert all(x.symbol(k + 1) == outward(rp, rq, k) for k in range(40))

@@ -92,3 +92,21 @@ def test_cell_index_is_periodic_on_circle_factors(i, j, m, period, k):
     x = np.array([i * 2.0**-18, 0.25, j * 2.0**-18])
     shifted = x + np.array([m * period, 0.0, -m * period])
     np.testing.assert_array_equal(sp.cell_index(shifted, eps), sp.cell_index(x, eps))
+
+
+@given(
+    st.sampled_from([1.0, 0.5, 2.0 * np.pi]),
+    st.lists(st.tuples(st.floats(-0.25, 0.25), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_distance_triangle_inequality_across_the_seam(period, coords, canonical):
+    # circle coordinates within a quarter turn of the seam, on either side,
+    # raw or canonicalized: the wrap-aware max metric stays a metric
+    sp = StateSpace((Circle(period), Interval(0.0, 1.0)))
+    x, y, z = (np.array([a * period, b]) for a, b in coords)
+    if canonical:
+        x, y, z = (sp.canonicalize(p) for p in (x, y, z))
+    d = sp.distance
+    assert d(x, z) <= d(x, y) + d(y, z) + 1e-15 * period
+    assert d(x, y) == pytest.approx(d(y, x), abs=1e-15 * period)
+    assert 0.0 <= d(x, y) <= sp.diameter()
