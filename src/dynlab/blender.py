@@ -92,12 +92,17 @@ class GeometricBlenderModel:
         z = rows[:, 2 + self.ny :] if self.nz else None
         return b, y, z
 
-    def eval(self, p) -> np.ndarray:
-        b, y, z = self.split(p)
+    def _rect_index(self, b) -> np.ndarray:
+        """Rectangle index of each base row; the model is undefined in gaps."""
         i = self.base.rect_of(b)
         if np.any(i < 0):
             raise ValueError("model evaluated in a gap between rectangles")
-        fb = self.base.apply(b)
+        return i
+
+    def eval(self, p) -> np.ndarray:
+        b, y, z = self.split(p)
+        i = self._rect_index(b)
+        fb = self.base.apply(b, i)
         parts = [fb, _by_rect(self.fibers_cs, i, y, "raw")]
         if z is not None:
             j = self.base.nearest_rect(fb[:, 1])
@@ -118,15 +123,14 @@ class GeometricBlenderModel:
     def jacobian(self, p) -> np.ndarray:
         """Block-diagonal Jacobian: the base rates, then each fiber's own."""
         b, y, z = self.split(p)
+        i = self._rect_index(b)
         ny = self.ny
         J = np.zeros((len(b), self.dim, self.dim))
         J[:, 0, 0] = self.base.mu_ss
         J[:, 1, 1] = self.base.mu_uu
-        J[:, 2 : 2 + ny, 2 : 2 + ny] = _by_rect(
-            self.fibers_cs, self.base.rect_of(b), y, "jacobian"
-        )
+        J[:, 2 : 2 + ny, 2 : 2 + ny] = _by_rect(self.fibers_cs, i, y, "jacobian")
         if z is not None:
-            j = self.base.nearest_rect(self.base.apply(b)[:, 1])
+            j = self.base.nearest_rect(self.base.apply(b, i)[:, 1])
             J[:, 2 + ny :, 2 + ny :] = _by_rect(self.fibers_cu, j, z, "jacobian")
         return J.reshape(np.shape(p) + (self.dim,))
 
@@ -493,7 +497,8 @@ def verify_strip_intersection(
             }
 
     # exact replay through the actual map, checking the base itinerary
-    t, p = _replay(base, Gmap, start, itinerary)
+    steps, reached = _replay_batch(base, Gmap, start[None], itinerary)
+    t, p = int(steps[0]), reached[0]
     if t < len(itinerary):
         r = int(base.rect_of(p[:2]))
         return {
@@ -530,14 +535,20 @@ def verify_strip_intersection(
     }
 
 
-def _replay(base: HorseshoeBase, Gmap: SmoothMap, p0: np.ndarray, itinerary: Word):
-    """(number of itinerary steps the orbit of p0 follows, point reached)."""
-    p = p0.copy()
+def _replay_batch(base: HorseshoeBase, Gmap: SmoothMap, P: np.ndarray, itinerary: Word):
+    """(k, Q): the number of itinerary steps each row of P follows, and the
+    point it reached. A row leaves the batch at the first step whose
+    rectangle breaks the itinerary, before the map sees it."""
+    Q = np.array(P, dtype=float)
+    k = np.zeros(len(Q), dtype=int)
+    live = np.arange(len(Q))
     for t, sym in enumerate(itinerary):
-        if int(base.rect_of(p[:2])) != sym:
-            return t, p
-        p = Gmap.raw(p)
-    return len(itinerary), p
+        live = live[base.rect_of(Q[live, :2]) == sym]
+        if not live.size:
+            break
+        Q[live] = Gmap.raw(Q[live])
+        k[live] = t + 1
+    return k, Q
 
 
 def _pull_through(fibers: list[SmoothMap], itinerary: Word, level) -> np.ndarray:
@@ -546,6 +557,52 @@ def _pull_through(fibers: list[SmoothMap], itinerary: Word, level) -> np.ndarray
     for sym in reversed(tuple(itinerary)):
         v = fibers[sym].invert(v)
     return v
+
+
+# Bisection budget of one solve, and the depth of the midpoint trees that
+# spend it: one batched replay scores 2^depth - 1 nested midpoints.
+_BISECT_STEPS = 90
+_TREE_DEPTH = 6
+_ABORT = -1  # decision code: the walk ends without a bracket
+
+
+def _bisect_tree(a: float, b: float, decide):
+    """Sequential bisection of [a, b], scored a tree at a time.
+
+    decide(mids) returns one code per midpoint: 1 moves a up to it, 0
+    moves b down to it, _ABORT ends the search with None. Each tree holds
+    the 2^depth - 1 nested midpoints below the current bracket in heap
+    order (children 2n + 1 below node n, 2n + 2 above), every one the same
+    0.5 * (lo + hi) the sequential walk computes, so walking the tree by
+    the decisions of its walked nodes retraces that walk exactly: it stops
+    when a midpoint equals an end, after _BISECT_STEPS walked nodes in all,
+    or at a walked _ABORT; codes of unwalked nodes are never read.
+    """
+    steps = 0
+    while steps < _BISECT_STEPS:
+        depth = min(_TREE_DEPTH, _BISECT_STEPS - steps)
+        lo, hi = np.array([a]), np.array([b])
+        levels = []
+        for _ in range(depth):
+            mid = 0.5 * (lo + hi)
+            levels.append(mid)
+            lo = np.stack([lo, mid], axis=-1).ravel()
+            hi = np.stack([mid, hi], axis=-1).ravel()
+        mids = np.concatenate(levels)
+        codes = decide(mids)
+        node = 0
+        for _ in range(depth):
+            mid = float(mids[node])
+            if mid == a or mid == b:
+                return a, b
+            if codes[node] == _ABORT:
+                return None
+            if codes[node]:
+                a, node = mid, 2 * node + 2
+            else:
+                b, node = mid, 2 * node + 1
+        steps += depth
+    return a, b
 
 
 def _shoot_start(
@@ -560,44 +617,51 @@ def _shoot_start(
     follows the itinerary and hits its endpoint targets.
 
     Both coordinates enter their own constraint monotonically (expanding
-    directions), so nested bisection inside the first cylinder converges;
-    the weak cross-coupling through the perturbation is handled by a second
-    round. Returns None when no tracking orbit exists in the cylinder.
+    directions), so bisection inside the first cylinder converges; the
+    weak cross-coupling through the perturbation is handled by up to three
+    rounds of u then z. A round is a function of its input, so once one
+    returns its input the later rounds would repeat it, and the loop ends.
+
+    Each bisection runs to machine width (at most _BISECT_STEPS midpoints)
+    as a bisection tree: one batched replay of the itinerary scores
+    2^_TREE_DEPTH - 1 nested midpoints, and the walk through them takes
+    exactly the sequential bisection's path, so the start is the same to
+    the last bit at about a sixth of the replays. The bracket probes of
+    each solve share one two-row replay. Returns None when no tracking
+    orbit exists in the cylinder.
     """
     base = model.base
     ny = model.ny
     m = len(itinerary)
 
-    def u_score(p0: np.ndarray) -> float:
-        """Signed surrogate, increasing in the start u; 0 when on target."""
-        k, p = _replay(base, Gmap, p0, itinerary)
-        if k < m:
-            sym = itinerary[k]
-            lo = base.slab_lo[sym]
-            hi = lo + base.height
-            return float(np.sign(p[1] - 0.5 * (lo + hi))) * (2.0 + (m - k))
-        return float(p[1] - u_target)
+    def replay_at(p0: np.ndarray, col: int, values: np.ndarray):
+        """Replay copies of p0 with coordinate col set to each value."""
+        P = np.repeat(p0[None], len(values), axis=0)
+        P[:, col] = values
+        return _replay_batch(base, Gmap, P, itinerary)
+
+    def u_scores(p0: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Signed surrogates, increasing in the start u; 0 when on target.
+        A row that broke the itinerary scores by its side of the center of
+        the slab it missed."""
+        k, Q = replay_at(p0, 1, us)
+        missed = base.slab_lo[np.asarray(itinerary)[np.minimum(k, m - 1)]]
+        center = 0.5 * (missed + (missed + base.height))
+        return np.where(k < m, Q[:, 1] - center, Q[:, 1] - u_target)
 
     def solve_u(p0: np.ndarray) -> np.ndarray | None:
         sym = itinerary[0]
         lo, hi = base.slab_lo[sym], base.slab_lo[sym] + base.height
-        flo = u_score(np.concatenate([[p0[0], lo + 1e-12], p0[2:]]))
-        fhi = u_score(np.concatenate([[p0[0], hi - 1e-12], p0[2:]]))
-        if flo > 0 or fhi < 0:
-            return None
         # bisect to machine width: the expanding direction amplifies start
         # resolution by mu_uu per tracked step
         a, b = lo + 1e-12, hi - 1e-12
-        for _ in range(90):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            q = np.concatenate([[p0[0], mid], p0[2:]])
-            if u_score(q) <= 0:
-                a = mid
-            else:
-                b = mid
-        return np.concatenate([[p0[0], 0.5 * (a + b)], p0[2:]])
+        flo, fhi = u_scores(p0, np.array([a, b]))
+        if flo > 0 or fhi < 0:
+            return None
+        a, b = _bisect_tree(a, b, lambda us: (u_scores(p0, us) <= 0).astype(int))
+        out = p0.copy()
+        out[1] = 0.5 * (a + b)
+        return out
 
     def solve_z(p0: np.ndarray) -> np.ndarray | None:
         if z_target is None or model.nz == 0:
@@ -607,43 +671,39 @@ def _shoot_start(
         # through the perturbation's coupling)
         z_guess = float(p0[2 + ny])
 
-        def z_final(z0: float) -> float | None:
-            q = p0.copy()
-            q[2 + ny] = z0
-            k, p = _replay(base, Gmap, q, itinerary)
-            return None if k < m else float(p[2 + ny] - z_target[0])
+        def z_finals(zs: np.ndarray):
+            """Final z offsets from the target, and which rows broke."""
+            k, Q = replay_at(p0, 2 + ny, zs)
+            return Q[:, 2 + ny] - z_target[0], k < m
 
         w = 1e-4
         bracket = None
         for _ in range(24):
             lo, hi = z_guess - w, z_guess + w
-            flo, fhi = z_final(lo), z_final(hi)
-            if flo is not None and fhi is not None and flo * fhi <= 0:
+            (flo, fhi), broke = z_finals(np.array([lo, hi]))
+            if not broke.any() and flo * fhi <= 0:
                 bracket = (lo, hi, fhi > flo)
                 break
-            if flo is None or fhi is None:
+            if broke.any():
                 w *= 0.5  # window left the tracking tube
             else:
                 w *= 2.0
             if w < 1e-14 or w > 10 * (model.region_cu.hi[0] - model.region_cu.lo[0]):
                 break
         if bracket is None:
-            f0 = z_final(z_guess)
-            return p0 if f0 is not None and abs(f0) < 1e-6 else None
+            f0, broke = z_finals(np.array([z_guess]))
+            return p0 if not broke[0] and abs(f0[0]) < 1e-6 else None
         a, b, increasing = bracket
-        for _ in range(90):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            f = z_final(mid)
-            if f is None:
-                return None
-            if (f <= 0) == increasing:
-                a = mid
-            else:
-                b = mid
+
+        def decide(zs: np.ndarray) -> np.ndarray:
+            f, broke = z_finals(zs)
+            return np.where(broke, _ABORT, (f <= 0) == increasing)
+
+        ab = _bisect_tree(a, b, decide)
+        if ab is None:
+            return None
         out = p0.copy()
-        out[2 + ny] = 0.5 * (a + b)
+        out[2 + ny] = 0.5 * (ab[0] + ab[1])
         return out
 
     p0 = guess.copy()
@@ -651,13 +711,15 @@ def _shoot_start(
         p0u = solve_u(p0)
         if p0u is None:
             return None
-        p0 = p0u
-        p0z = solve_z(p0)
+        p0z = solve_z(p0u)
         if p0z is None:
             return None
+        if np.array_equal(p0z, p0):
+            break  # a round that returns its input would repeat itself
         p0 = p0z
-    k, p = _replay(base, Gmap, p0, itinerary)
-    if k < m or abs(p[1] - u_target) > 1e-5:
+    k, Q = _replay_batch(base, Gmap, p0[None], itinerary)
+    p = Q[0]
+    if k[0] < m or abs(p[1] - u_target) > 1e-5:
         return None
     if z_target is not None and model.nz and abs(p[2 + ny] - z_target[0]) > 1e-5:
         return None

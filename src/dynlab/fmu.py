@@ -161,7 +161,7 @@ class FMuFamily:
         i = int(self.base.rect_of(b))
         if i < 0:
             return None
-        key = (i, int(self.base.nearest_rect(self.base.apply(b)[1])))
+        key = (i, int(self.base.nearest_rect(self.base.apply(b, i)[1])))
         if key not in table:
             return None
         full_map, ramp, family, t_full = table[key]

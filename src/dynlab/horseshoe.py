@@ -97,9 +97,11 @@ class HorseshoeBase:
         """Column index of the s-coordinate (for inverse lookup), -1 in gaps."""
         return self._slot(self.col_lo, self.mu_ss, s)
 
-    def apply(self, b) -> np.ndarray:
+    def apply(self, b, i=None) -> np.ndarray:
+        """The base map; i is the rectangle index of b when the caller has it."""
         b = np.asarray(b, dtype=float)
-        i = self.rect_of(b)
+        if i is None:
+            i = self.rect_of(b)
         if np.any(i < 0):
             raise ValueError("horseshoe map evaluated in a gap between rectangles")
         s_new = self.mu_ss * b[..., 0] + self.col_lo[i]

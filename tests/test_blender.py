@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlab.blender import (
+    _ABORT,
+    _BISECT_STEPS,
+    _TREE_DEPTH,
     ConeField,
+    _bisect_tree,
+    _replay_batch,
     build_geometric_model,
     sample_strips,
     verify_cone_invariance,
@@ -413,3 +418,138 @@ def test_model_map_takes_the_exact_path(symplectic_model, symplectic_model_repor
         assert exact["hit"] and via_map["hit"]
         assert via_map["witness_word"] == exact["witness_word"]
         np.testing.assert_array_equal(via_map["start"], exact["start"])
+
+
+def test_jacobian_raises_in_gaps():
+    # u = 0.05 lies below the first slab: eval and jacobian both refuse it
+    base = HorseshoeBase.build(3, 0.1, 10.0)
+    sp = wide_line()
+    cs = [affine_map(sp, [[c]], [0.0], name=f"c{i}") for i, c in enumerate((0.5, 0.4, 0.3))]
+    model = build_geometric_model(base, cs, Box(sp, [0.0], [1.0]))
+    p = np.array([0.3, 0.05, 0.5])
+    assert int(base.rect_of(p[:2])) == -1
+    with pytest.raises(ValueError):
+        model.eval(p)
+    with pytest.raises(ValueError):
+        model.jacobian(p)
+
+
+# ---------------------------------------------------------------------------
+# shooting: bisection trees and batched replays
+# ---------------------------------------------------------------------------
+
+def sequential_bisect(a, b, decide_one, steps=90):
+    """The reference walk: one midpoint scored at a time."""
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        code = decide_one(mid)
+        if code == _ABORT:
+            return None
+        if code:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def threshold(t):
+    """Monotone decisions: the bracket's low end moves up to midpoints <= t."""
+    return lambda mids: (np.asarray(mids) <= t).astype(int)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(finite, st.one_of(st.integers(1, 8), st.floats(1e-9, 1e3)), st.floats(-0.1, 1.1))
+def test_bisection_tree_walks_the_sequential_path(a, width, frac):
+    # integer widths are a few ulps, so a midpoint equal to an end stops the
+    # walk inside a tree; the threshold may also lie outside the bracket
+    if isinstance(width, int):
+        b = a
+        for _ in range(width):
+            b = float(np.nextafter(b, np.inf))
+    else:
+        b = a + width
+    t = a + frac * (b - a)
+    decide = threshold(t)
+    expected = sequential_bisect(a, b, lambda mid: int(decide([mid])[0]))
+    got = _bisect_tree(a, b, decide)
+    assert np.array_equal(np.array(got), np.array(expected))
+
+
+def test_bisection_tree_reads_only_walked_codes():
+    a, b, t = 0.0, 1.0, 0.3141592653589793
+    walked = []
+    sequential_bisect(a, b, lambda mid: walked.append(mid) or int(mid <= t))
+    assert len(walked) > 2 * _TREE_DEPTH
+
+    def aborting(targets):
+        def decide(mids):
+            codes = threshold(t)(mids)
+            codes[np.isin(mids, targets)] = _ABORT
+            return codes
+        return decide
+
+    # every node of the first tree off the walked path may abort: no effect
+    trees = []
+    clean = _bisect_tree(a, b, lambda mids: trees.append(mids.copy()) or threshold(t)(mids))
+    off_path = np.setdiff1d(trees[0], walked)
+    assert len(off_path) == len(trees[0]) - _TREE_DEPTH == 2**_TREE_DEPTH - 1 - _TREE_DEPTH
+    assert _bisect_tree(a, b, aborting(off_path)) == clean
+    # a walked node aborts, in the first tree and in a later one
+    for node in (walked[2], walked[_TREE_DEPTH + 1]):
+        assert _bisect_tree(a, b, aborting([node])) is None
+
+
+def test_bisection_tree_caps_steps_across_trees():
+    # always moving b down from 1e300 needs far more than 90 halvings to
+    # reach 0, so the budget ends the walk, exactly where the sequential one
+    # ends, after whole trees of scored midpoints
+    scored = []
+
+    def down(mids):
+        scored.append(len(mids))
+        return np.zeros(len(mids), dtype=int)
+
+    got = _bisect_tree(0.0, 1e300, down)
+    assert got == sequential_bisect(0.0, 1e300, lambda mid: 0)
+    assert got == (0.0, 1e300 * 2.0**-_BISECT_STEPS)
+    assert sum(scored) == (_BISECT_STEPS // _TREE_DEPTH) * (2**_TREE_DEPTH - 1)
+
+
+def single_model():
+    base = HorseshoeBase.build(3, mu_ss=0.1, mu_uu=10.0)
+    sp = wide_line()
+    return build_geometric_model(base, triple_fibers(sp), Box(sp, [0.0], [1.0]))
+
+
+@pytest.mark.parametrize("which", ["symplectic", "trig-field"])
+def test_replay_batch_equals_its_rows(symplectic_model, which):
+    # rows that break at step 0 (in a gap or in the wrong slab), mid
+    # itinerary (into a gap or a wrong slab) or never, under a perturbed map
+    model = symplectic_model if which == "symplectic" else single_model()
+    G = perturb_map(model.as_map(), 1e-4, seed=3)
+    assert G.symplectic == (which == "symplectic")
+    base = model.base
+    itinerary = (1, 0, 2, 2, 1, 0)
+    rng = np.random.default_rng(11)
+    m = len(itinerary)
+    rows = []
+    for i in range(80):
+        cut = (0, m, int(rng.integers(1, m)), int(rng.integers(0, m)))[i % 4]
+        # the tail is a slab fraction, or a u in the gap below the first slab
+        tail = rng.random() if i % 4 < 3 else rng.random() * base.slab_lo[0]
+        u = base.u_from_itinerary(itinerary[:cut], tail)
+        rows.append([rng.random(), u, *rng.uniform(0.0, 1.0, model.dim - 2)])
+    P = np.array(rows)
+    k, Q = _replay_batch(base, G, P, itinerary)
+    assert (k == 0).sum() >= 5 and ((k > 0) & (k < m)).sum() >= 5 and (k == m).sum() >= 5
+    stopped = Q[k < m, :2]
+    assert (base.rect_of(stopped) < 0).sum() >= 5 and (base.rect_of(stopped) >= 0).sum() >= 5
+    for r in range(len(P)):
+        k1, Q1 = _replay_batch(base, G, P[r : r + 1], itinerary)
+        assert k1[0] == k[r]
+        assert np.array_equal(Q1[0], Q[r])
