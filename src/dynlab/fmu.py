@@ -21,7 +21,7 @@ import numpy as np
 from .bumps import AxisRamp, hamiltonian_bump_translation
 from .errors import ScheduleTooSmall
 from .horseshoe import HorseshoeBase
-from .ifs import CellSet
+from .ifs import _explore, _root
 from .maps import SmoothMap, compose
 from .spaces import Box, StateSpace
 
@@ -299,32 +299,12 @@ def word_into(
 ) -> tuple[int, ...] | None:
     """Breadth-first word search carrying the seed into the target box.
 
-    Frontier deduplicated on an eps-grid of the (compact) space; generators
+    One search of the orbit core (``ifs._explore``) with one target:
+    frontier deduplicated on an eps-grid of the (compact) space; generators
     apply in index order and images are visited generator-major, in frontier
     order, so the first hit, and the word returned, are deterministic.
     """
-    space = maps[0].domain
-    seed = np.asarray(seed, dtype=float)
-    if target.contains(space.canonicalize(seed)):
-        return ()
-    seen = CellSet(space, eps)
-    seen.add_new(space.cell_index(seed[None], eps))
-    words: list[tuple[int, ...]] = [()]
-    pts = seed[None]
-    for _ in range(depth):
-        if not words:
-            return None
-        nxt_words, nxt_pts = [], []
-        for gi, g in enumerate(maps):
-            imgs = space.canonicalize(g.raw(pts))
-            hits = np.flatnonzero(target.contains(imgs))
-            if len(hits):
-                return words[hits[0]] + (gi,)
-            new = seen.add_new(space.cell_index(imgs, eps))
-            nxt_words += [words[j] + (gi,) for j in new.tolist()]
-            nxt_pts.append(imgs[new])
-        words, pts = nxt_words, np.concatenate(nxt_pts)
-    return None
+    return _explore(maps, _root(maps[0].domain, seed, eps), depth, targets=[target])[0]
 
 
 def itinerary_for_word(schedule: BlockSchedule, word: tuple[int, ...], backward: bool = False) -> tuple[int, ...]:
@@ -343,16 +323,14 @@ def almost_minimality_experiment(
     fiber_samples: np.ndarray,
     L: float,
     eps: float,
-    blender_report: dict | None = None,
-    replay_check: int = 4,
 ) -> dict:
     """Fraction of fiber points over the anchor base point whose strong
     manifolds of diameter <= L reach the blender region, both directions.
 
     For each sample a word over the induced fiber system is searched whose
     length fits inside a diameter-L unstable (resp. stable) segment; found
-    words are spot-checked by replaying the full family member along the
-    encoded base itinerary.
+    words (the first four nonempty ones) are spot-checked by replaying the
+    full family member along the encoded base itinerary.
     """
     if fmu.blender_ball is None:
         raise ValueError("family was built without a blender ball")
@@ -360,17 +338,14 @@ def almost_minimality_experiment(
     target = fmu.blender_ball
     samples = np.atleast_2d(np.asarray(fiber_samples, dtype=float))
     fwd_words = [word_into(fmu.minimality_maps, q, target, depth, eps / 2) for q in samples]
-    inv_bwd = []
-    for m in fmu.minimality_maps_bwd:
-        inv_bwd.append(m.inverse if m.inverse is not None else m)
+    inv_bwd = [m.inverse or m for m in fmu.minimality_maps_bwd]
     bwd_words = [word_into(inv_bwd, q, target, depth, eps / 2) for q in samples]
     connected = [f is not None and b is not None for f, b in zip(fwd_words, bwd_words)]
 
     replays = []
-    done = 0
     fiber_space = fmu.f2.domain
     for q, w in zip(samples, fwd_words):
-        if w is None or len(w) == 0 or done >= replay_check or fmu.mu == 0.0:
+        if w is None or len(w) == 0 or len(replays) >= 4 or fmu.mu == 0.0:
             continue
         itin = itinerary_for_word(fmu.schedule, w)
         u0 = fmu.base.u_from_itinerary(itin, fmu.base.slab_lo[0] + fmu.base.height / 2)
@@ -384,7 +359,6 @@ def almost_minimality_experiment(
             expected = fmu.minimality_maps[s].raw(expected)
         expected = fiber_space.canonicalize(expected)
         replays.append(float(fiber_space.distance(fiber_direct, expected)))
-        done += 1
 
     return {
         "connected_fraction": float(np.mean(connected)),

@@ -10,15 +10,24 @@ the integer cell keys, one representative point per cell, and for each cell
 the parent cell and the generator that carried the parent's representative
 to it. Witness words are not stored; they are rebuilt on demand by walking
 the parent pointers back to the seed, so memory is O(cells), not
-O(cells * depth). Each level of the search evaluates every generator once
-on the whole frontier and deduplicates the images in one vectorized step
-that keeps the first image to reach each cell, in generator-major, frontier
-order.
+O(cells * depth).
+
+One search, ``_explore``, serves orbit coverage, ``fmu.word_into`` and the
+symbolic blender. Each level evaluates every generator once on the whole
+(canonical) frontier, canonicalizes the images once and visits them
+generator-major, in frontier order; the first image in an unoccupied cell
+is stored and expanded at the next level. A target box gets the word of the
+first visited point inside it (the seed first, occupied cell or not); the
+search ends at the image that hits the last target, without storing its
+batch. Images outside a region (tol 1e-12) are dropped, neither visited nor
+charged to the budget; the seed is expanded wherever it lies. Without a
+region each level checks its frontier against the space's intervals.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +147,8 @@ class CellSet:
         if len(self.codes):
             new = self.codes[np.minimum(pos, len(self.codes) - 1)] != codes
         new[1:] &= codes[1:] != codes[:-1]
-        self.codes = np.insert(self.codes, pos[new], codes[new])
+        # a stable sort merges the two sorted runs in linear time
+        self.codes = np.sort(np.concatenate([self.codes, codes[new]]), kind="stable")
         return np.sort(order[new])
 
 
@@ -182,6 +192,104 @@ class ReachSet:
             out.append(out[p] + (s,) if p >= 0 else ())
         return out
 
+    def word(self, row: int) -> Word:
+        """Witness word of one cell."""
+        out: Word = ()
+        while self.parent[row] >= 0:
+            out, row = (int(self.symbol[row]),) + out, self.parent[row]
+        return out
+
+
+def _root(space: StateSpace, seed, eps: float) -> ReachSet:
+    """The reach set of the seed alone, before any level is explored."""
+    seed = space.canonicalize(np.asarray(seed, dtype=float))
+    return ReachSet(
+        space=space,
+        eps=eps,
+        seed=seed,
+        keys=space.cell_index(seed[None], eps),
+        reps=seed[None],
+        parent=np.array([-1], dtype=np.intp),
+        symbol=np.array([-1], dtype=np.intp),
+        visited_count=1,
+        frontier=np.array([0], dtype=np.intp),
+    )
+
+
+def _explore(
+    generators: list[SmoothMap],
+    reach: ReachSet,
+    extra_depth: int,
+    budget: float = math.inf,
+    *,
+    targets: Sequence[Box] = (),
+    region: Box | None = None,
+) -> list[Word | None]:
+    """The search of the module docstring, continued from the reach set's
+    frontier for extra_depth more levels with the budget rules of
+    ``extend_orbit``. Returns each target's word, None if not hit."""
+    space, eps = reach.space, reach.eps
+    cells = CellSet(space, eps)
+    cells.add_new(reach.keys)
+    keys, reps, parent, symbol = [reach.keys], [reach.reps], [reach.parent], [reach.symbol]
+    n = len(reach.keys)
+    visited, truncated, depth = reach.visited_count, reach.truncated, reach.depth_reached
+    frontier = reach.frontier
+    pts = reach.reps[frontier]
+    # hits[t] = (row, tail): target t's word is row's witness word + tail;
+    # open_ lists the targets not hit yet, lo and hi their corners
+    lo = np.array([t.lo for t in targets]).reshape(len(targets), 1, space.dim)
+    hi = np.array([t.hi for t in targets]).reshape(len(targets), 1, space.dim)
+    seeded = ((reach.seed >= lo) & (reach.seed <= hi)).all(axis=-1)[:, 0]
+    hits: list[tuple[int, Word] | None] = [(0, ()) if h else None for h in seeded.tolist()]
+    open_, lo, hi = np.flatnonzero(~seeded), lo[~seeded], hi[~seeded]
+    for level in range(depth + 1, depth + extra_depth + 1):
+        if not len(frontier) or (targets and not len(open_)):
+            break
+        if region is None:
+            space.check_inside(pts)
+        level_start, level_chunk = n, len(reps)
+        for gi, g in enumerate(generators):
+            if truncated:
+                break
+            images, rows = space.canonicalize(g.raw(pts)), frontier
+            if region is not None:
+                kept = region.contains(images, tol=1e-12)
+                images, rows = images[kept], rows[kept]
+            take = max(0, min(len(images), budget - visited))
+            if take < len(images):
+                truncated = True
+                images, rows = images[:take], rows[:take]
+            visited += take
+            if len(open_) and len(images):
+                inside = ((images >= lo) & (images <= hi)).all(axis=-1)
+                got = inside.any(axis=1)
+                if got.any():
+                    for t, j in zip(open_[got].tolist(), inside[got].argmax(axis=1).tolist()):
+                        hits[t] = (int(rows[j]), (gi,))
+                    open_, lo, hi = open_[~got], lo[~got], hi[~got]
+                    if not len(open_):
+                        break
+            image_keys = space.cell_index(images, eps)
+            new = cells.add_new(image_keys)
+            keys.append(image_keys[new])
+            reps.append(images[new])
+            parent.append(rows[new])
+            symbol.append(np.full(len(new), gi, dtype=np.intp))
+            n += len(new)
+        depth = level
+        frontier = np.arange(level_start, n, dtype=np.intp)
+        pts = np.concatenate(reps[level_chunk:]) if n > level_start else pts[:0]
+        if truncated:
+            break
+    reach.keys = np.concatenate(keys)
+    reach.reps = np.concatenate(reps)
+    reach.parent = np.concatenate(parent)
+    reach.symbol = np.concatenate(symbol)
+    reach.visited_count, reach.truncated, reach.depth_reached = visited, truncated, depth
+    reach.frontier = frontier
+    return [None if h is None else reach.word(h[0]) + h[1] for h in hits]
+
 
 def forward_orbit(
     ifs: IFS,
@@ -198,73 +306,18 @@ def forward_orbit(
     index order. When the cell-visit budget runs out the partial set is
     returned with truncated=True.
     """
-    space = ifs.space
-    seed = space.canonicalize(np.asarray(seed, dtype=float))
-    reach = ReachSet(
-        space=space,
-        eps=eps,
-        seed=seed,
-        keys=space.cell_index(seed[None], eps),
-        reps=seed[None],
-        parent=np.array([-1], dtype=np.intp),
-        symbol=np.array([-1], dtype=np.intp),
-        visited_count=1,
-        frontier=np.array([0], dtype=np.intp),
-    )
-    return extend_orbit(ifs, reach, depth, budget)
+    return extend_orbit(ifs, _root(ifs.space, seed, eps), depth, budget)
 
 
 def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_000_000) -> ReachSet:
     """Continue a breadth-first exploration from its stored frontier.
 
-    Each level applies the generators in index order, each once to the whole
-    frontier, and visits the images generator-major, in frontier order; the
-    first image to land in an unoccupied cell is stored. Every visit spends
-    one unit of the budget: the image at which it runs out and all later
-    ones are not visited, the level ends there and truncated is set. The
-    reach set is updated only when the call returns, so a generator that
-    raises (an image left an interval factor) leaves it as it was.
+    Every visit spends one unit of the budget: the image at which it runs
+    out and all later ones are not visited, the level ends there and
+    truncated is set. The reach set is updated only when the call returns,
+    so a generator that raises leaves it as it was.
     """
-    space = ifs.space
-    eps = reach.eps
-    cells = CellSet(space, eps)
-    cells.add_new(reach.keys)
-    keys, reps, parent, symbol = [reach.keys], [reach.reps], [reach.parent], [reach.symbol]
-    n = len(reach.keys)
-    visited, truncated, depth = reach.visited_count, reach.truncated, reach.depth_reached
-    frontier = reach.frontier
-    pts = reach.reps[frontier]
-    for level in range(depth + 1, depth + extra_depth + 1):
-        if not len(frontier):
-            break
-        level_start, level_chunk = n, len(reps)
-        for gi, g in enumerate(ifs.generators):
-            if truncated:
-                break
-            images = g(pts)
-            image_keys = space.cell_index(images, eps)
-            take = max(0, min(len(images), budget - visited))
-            if take < len(images):
-                truncated = True
-                images, image_keys = images[:take], image_keys[:take]
-            visited += take
-            new = cells.add_new(image_keys)
-            keys.append(image_keys[new])
-            reps.append(images[new])
-            parent.append(frontier[new])
-            symbol.append(np.full(len(new), gi, dtype=np.intp))
-            n += len(new)
-        depth = level
-        frontier = np.arange(level_start, n, dtype=np.intp)
-        pts = np.concatenate(reps[level_chunk:]) if n > level_start else pts[:0]
-        if truncated:
-            break
-    reach.keys = np.concatenate(keys)
-    reach.reps = np.concatenate(reps)
-    reach.parent = np.concatenate(parent)
-    reach.symbol = np.concatenate(symbol)
-    reach.visited_count, reach.truncated, reach.depth_reached = visited, truncated, depth
-    reach.frontier = frontier
+    _explore(ifs.generators, reach, extra_depth, budget)
     return reach
 
 

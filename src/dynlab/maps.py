@@ -44,7 +44,6 @@ class SmoothMap:
     symplectic: bool = False
     inverse: "SmoothMap | None" = None
     affine: tuple[np.ndarray, np.ndarray] | None = None  # (A, b) when f(x) = A x + b
-    exact: Callable | None = None  # optional Fraction-exact scalar evaluation
 
     @property
     def is_contracting(self) -> bool:
@@ -86,8 +85,10 @@ class SmoothMap:
 def evaluate(m: SmoothMap, x) -> np.ndarray:
     """Apply the map: canonicalize circles, check interval bounds, evaluate.
 
-    Raises PointOutsideDomain when an interval coordinate exits its range by
-    more than tolerance.
+    The checked entry point for raw points; on a canonical point it equals
+    canonicalize(raw(x)), the path of the orbit engine. Raises
+    PointOutsideDomain when an interval coordinate exits its range by more
+    than tolerance.
     """
     x = np.asarray(x, dtype=float)
     x = m.domain.canonicalize(x)

@@ -194,21 +194,19 @@ def robustness_sweep(
     eta_list,
     trials: int,
     seed: int,
-    perturber=None,
 ) -> list[dict]:
     """Re-run a named verifier across perturbation sizes and trials.
 
-    verifier(model, G) -> bool, where G is the perturbed full map; the
-    perturber defaults to perturb_map of the model's map. Returns one row
-    per eta with the observed pass rate.
+    verifier(model, G) -> bool, where G is perturb_map of the model's map
+    (``model.as_map()``). Returns one row per eta with the observed pass
+    rate.
     """
-    base_map = model.as_map() if hasattr(model, "as_map") else model
-    perturber = perturber or (lambda m, eta, s: perturb_map(base_map, eta, s))
+    base_map = model.as_map()
     rows = []
     for eta in eta_list:
         passed = 0
         for t in range(trials):
-            G = perturber(model, eta, seed + 7919 * t)
+            G = perturb_map(base_map, eta, seed + 7919 * t)
             if verifier(model, G):
                 passed += 1
         rows.append({"eta": float(eta), "trials": trials, "pass_rate": passed / trials})

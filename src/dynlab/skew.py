@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFixedPoint, NotInvertible
-from .ifs import IFS, CellSet, ReachSet, Word, forward_orbit
+from .ifs import IFS, CellSet, ReachSet, Word, _explore, _root, forward_orbit
 from .maps import SmoothMap, affine_map
 from .shifts import ShiftPoint, insert_word
 from .spaces import Box, StateSpace
@@ -312,66 +312,42 @@ def verify_symbolic_cs_blender(
     strip_samples: int,
     seed: int,
     depth_max: int = 24,
-    fixed_symbol: int = 0,
 ) -> dict:
     """Sampled check that the unstable set of the fixed point meets every s-strip.
 
-    For each strip the unstable set of the fixed point, restricted to the
+    The unstable set of the fixed point over symbol 0, restricted to the
     blender (branches whose fiber leaves the region have backward orbits
-    outside it and are pruned), is searched depth by depth for a leaf whose
-    fiber lands inside the strip's fiber ball; the witness base splices the
-    leaf's left side with the strip's right side. Reports the worst depth
-    needed and per-strip outcomes.
+    outside it and are pruned), is searched depth by depth for leaves whose
+    fibers land inside the strips' fiber balls; a witness base splices the
+    leaf's left side with the strip's right side. One exploration of the
+    orbit core (``ifs._explore``) serves each deduplication grid,
+    min(eps, radius)/8, with all its strips' balls as targets. Reports the
+    worst depth needed and per-strip outcomes.
     """
     rng = np.random.default_rng(seed)
-    x0, y0 = phi.fixed_point(fixed_symbol)
+    x0, y0 = phi.fixed_point(0)
+    strips = [sample_strip(phi, region, eps, rng) for _ in range(strip_samples)]
+    groups: dict[float, list[int]] = {}
+    for i, (_, ball) in enumerate(strips):
+        groups.setdefault(min(eps, ball.radius) / 8.0, []).append(i)
+    words: list[Word | None] = [None] * strip_samples
+    gens = [f.smooth for f in phi.contracting]
+    for dedup_eps, members in groups.items():
+        reach = _root(region.space, _fiber_point_array(y0), dedup_eps)
+        found = _explore(gens, reach, depth_max, targets=[strips[i][1] for i in members], region=region)
+        for i, word in zip(members, found):
+            words[i] = word
     results = []
-    worst = 0
-    for _ in range(strip_samples):
-        sbase, ball = sample_strip(phi, region, eps, rng)
-        hit = None
-        # iterative deepening over forward word length, pruned to the region
-        # and deduplicated well below the ball scale
-        dedup_eps = min(eps, ball.radius) / 8.0
-        space = region.space
-        seen = {tuple(space.cell_index(_fiber_point_array(y0), dedup_eps))}
-        frontier = [((), y0)]
-        if ball.contains(_fiber_point_array(y0)):
-            hit = ((), y0)
-        depth = 0
-        while hit is None and depth < depth_max and frontier:
-            depth += 1
-            nxt = []
-            for w, v in frontier:
-                for s in range(phi.d):
-                    v2 = phi.contracting[s].apply(v)
-                    pt = _fiber_point_array(v2)
-                    if not region.contains(pt, tol=1e-12):
-                        continue
-                    w2 = w + (s,)
-                    if ball.contains(pt):
-                        hit = (w2, v2)
-                        break
-                    key = tuple(space.cell_index(pt, dedup_eps))
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append((w2, v2))
-                if hit:
-                    break
-            frontier = nxt
-        if hit is None:
+    for (sbase, _), word in zip(strips, words):
+        if word is None:
             results.append({"hit": False, "depth": None})
-        else:
-            word, fiber = hit
-            leaf_base = insert_word(x0, word + (sbase.symbol(1),))
-            witness = leaf_base.splice_right(sbase)
-            ok = witness.agrees(sbase, 1, 12)
-            results.append({"hit": True, "depth": len(word), "witness_ok": ok})
-            worst = max(worst, len(word))
+            continue
+        witness = insert_word(x0, word + (sbase.symbol(1),)).splice_right(sbase)
+        results.append({"hit": True, "depth": len(word), "witness_ok": witness.agrees(sbase, 1, 12)})
     n_hit = sum(1 for r in results if r["hit"])
     return {
         "pass": n_hit == strip_samples,
-        "worst_depth": worst,
+        "worst_depth": max((r["depth"] for r in results if r["hit"]), default=0),
         "hits": n_hit,
         "samples": strip_samples,
         "per_strip": results,
@@ -392,19 +368,7 @@ def verify_symbolic_double_blender(
     if phi.expanding is None:
         raise NotInvertible("double-blender verification needs the expanding part")
     cs = verify_symbolic_cs_blender(phi, region_cs, eps, samples, seed, depth_max)
-    inverted = SkewProduct(
-        d=phi.d,
-        fiber_space=region_cu.space,
-        contracting=[
-            FiberMap(
-                smooth=f.smooth.inverse
-                if f.smooth.inverse is not None
-                else f.smooth,
-                apply=f.apply_inv,
-                apply_inv=f.apply,
-            )
-            for f in phi.expanding
-        ],
-    )
+    flipped = [FiberMap(f.smooth.inverse or f.smooth, f.apply_inv, f.apply) for f in phi.expanding]
+    inverted = SkewProduct(d=phi.d, fiber_space=region_cu.space, contracting=flipped)
     cu = verify_symbolic_cs_blender(inverted, region_cu, eps, samples, seed + 1, depth_max)
     return {"pass": cs["pass"] and cu["pass"], "cs": cs, "cu": cu}

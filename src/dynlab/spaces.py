@@ -2,9 +2,9 @@
 
 A space is an ordered product of one-dimensional factors. Points are numpy
 arrays with one coordinate per factor; evaluation is batched, so any array
-of shape (..., dim) is accepted. Circle coordinates are kept in [0, period).
-The metric is the max over per-factor distances, with wrap-around distance on
-circle factors.
+of shape (..., dim) is accepted. Circle coordinates are kept in [0, period)
+by ``canonicalize``, which is idempotent. The metric is the max over
+per-factor distances, with wrap-around distance on circle factors.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ class StateSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        # circle columns and periods (nan, equal to nothing, on intervals)
+        circles = [i for i, f in enumerate(self.factors) if isinstance(f, Circle)]
+        object.__setattr__(self, "_circles", circles)
+        object.__setattr__(self, "_period", np.array([getattr(f, "period", np.nan) for f in self.factors]))
 
     @property
     def dim(self) -> int:
@@ -71,12 +75,19 @@ class StateSpace:
         )
 
     def canonicalize(self, x: np.ndarray) -> np.ndarray:
-        """Reduce circle coordinates mod period; interval coordinates pass through."""
+        """Reduce circle coordinates into [0, period); interval coordinates
+        pass through. Canonical points are fixed, so canonicalizing twice
+        changes nothing."""
         x = np.asarray(x, dtype=float)
-        out = x.copy()
-        for i, f in enumerate(self.factors):
-            if isinstance(f, Circle):
-                out[..., i] = np.mod(x[..., i], f.period)
+        if len(self._circles) == self.dim:
+            out = np.mod(x, self._period)
+        else:
+            out = x.copy()
+            for i in self._circles:
+                out[..., i] = np.mod(x[..., i], self._period[i])
+        if self._circles:
+            # np.mod rounds a tiny negative coordinate up to the period itself
+            out[out == self._period] = 0.0
         return out
 
     def check_inside(self, x: np.ndarray, tol: float = 1e-9) -> None:
@@ -130,9 +141,10 @@ class StateSpace:
     # -- occupancy-grid support -------------------------------------------
 
     def cell_index(self, x: np.ndarray, eps: float) -> np.ndarray:
-        """Integer grid key floor(coord/eps) per factor, wrapped on circles."""
-        x = self.canonicalize(x)
-        idx = np.floor(x / eps).astype(np.int64)
+        """Integer grid key floor(coord/eps) per factor, wrapped on circles.
+        Takes canonical points: a raw circle coordinate can round into the
+        neighbouring cell."""
+        idx = np.floor(np.asarray(x, dtype=float) / eps).astype(np.int64)
         for i, f in enumerate(self.factors):
             if isinstance(f, Circle):
                 n_i = max(1, int(round(f.period / eps)))

@@ -294,14 +294,13 @@ def chain_of_tori_search(
     U: Box,
     V: Box,
     level_grid: float,
-    margin_frac: float = 0.15,
 ) -> ToriChain:
     """Breadth-first chain through the bipartite crossing graph.
 
     Nodes are twist circles {I = c} and sheared circles (images of {I = c}
     under the conjugacy); two circles of different families cross
     transversally iff their levels differ by less than the shear amplitude,
-    with the crossing angle bounded away from zero by the margin fraction.
+    with the crossing angle bounded away from zero by a 15 % margin.
     """
     space = twist.domain
     factor = space.factors[0]
@@ -310,7 +309,7 @@ def chain_of_tori_search(
         levels = np.arange(factor.lo + level_grid, factor.hi, level_grid)
     else:
         levels = np.arange(0.0, factor.period, level_grid)
-    reach_eps = shear_eps * (1.0 - margin_frac)
+    reach_eps = shear_eps * (1.0 - 0.15)
 
     def crossing_point(c1: float, c2: float) -> tuple[np.ndarray, float] | None:
         # {I = c1} meets the sheared circle of level c2 where

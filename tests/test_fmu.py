@@ -13,6 +13,7 @@ from dynlab.fmu import (
     word_into,
 )
 from dynlab.horseshoe import HorseshoeBase
+from dynlab.ifs import CellSet
 from dynlab.spaces import Box, torus
 from dynlab.twist import twist_map
 
@@ -151,6 +152,49 @@ def test_word_into_finds_targets(desk):
     for s in w:
         p = f2.domain.canonicalize(fm.minimality_maps[s].raw(p))
     assert ball.contains(p)
+
+
+def cellset_word_into(maps, seed, target, depth, eps):
+    """Reference: the CellSet loop that word_into ran before the orbit core."""
+    space = maps[0].domain
+    seed = np.asarray(seed, dtype=float)
+    if target.contains(space.canonicalize(seed)):
+        return ()
+    seen = CellSet(space, eps)
+    seen.add_new(space.cell_index(seed[None], eps))
+    words: list[tuple[int, ...]] = [()]
+    pts = seed[None]
+    for _ in range(depth):
+        if not words:
+            return None
+        nxt_words, nxt_pts = [], []
+        for gi, g in enumerate(maps):
+            imgs = space.canonicalize(g.raw(pts))
+            hits = np.flatnonzero(target.contains(imgs))
+            if len(hits):
+                return words[hits[0]] + (gi,)
+            new = seen.add_new(space.cell_index(imgs, eps))
+            nxt_words += [words[j] + (gi,) for j in new.tolist()]
+            nxt_pts.append(imgs[new])
+        words, pts = nxt_words, np.concatenate(nxt_pts)
+    return None
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+def test_word_into_matches_reference(desk, mu):
+    base, sched, f2, pack, ball = desk
+    fm = build_F_mu(base, f2, sched, mu, pack, blender_ball=ball, zeta=20.0)
+    inv_bwd = [m.inverse for m in fm.minimality_maps_bwd]
+    axis = np.linspace(0.03, 0.97, 12)
+    seeds = np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+    found = 0
+    for eps in (1 / 64, 1 / 128):
+        for maps in (fm.minimality_maps, inv_bwd):
+            for q in seeds:
+                w = word_into(maps, q, ball, 12, eps)
+                assert w == cellset_word_into(maps, q, ball, 12, eps)
+                found += w is not None
+    assert found > 0
 
 
 def test_almost_minimality_small(desk):

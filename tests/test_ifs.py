@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlab.errors import PointOutsideDomain
-from dynlab.ifs import IFS, apply_word, extend_orbit, forward_orbit, replay_check
+from dynlab.ifs import IFS, _explore, _root, apply_word, extend_orbit, forward_orbit, replay_check
 from dynlab.maps import affine_map, identity_map
 from dynlab.reports import reachset_lines
 from dynlab.spaces import Box, annulus, torus, unit_interval_space
@@ -241,6 +241,38 @@ def test_images_leaving_an_interval_keep_their_cell():
     reach = forward_orbit(ifs, [0.1, 0.7], depth=1, eps=1 / 4)
     assert reach.cells() == {(0, 2), (0, 5), (1, 0)}
     assert_matches_reference(reach, dict_forward_orbit(ifs, [0.1, 0.7], 1, 1 / 4))
+
+
+def test_every_target_gets_its_single_target_word(torus_pack_ifs):
+    # one search with many targets ends where the last one is hit, and gives
+    # each the word a search for it alone gives: words of length 5 to 8, no
+    # word within depth 8, and the empty word of a target holding the seed
+    t2 = torus_pack_ifs.space
+    gens = torus_pack_ifs.generators
+    seed = np.array([0.3, 0.6])
+    centers = np.random.default_rng(3).uniform(0.05, 0.95, (20, 2))
+    targets = [Box.ball(t2, c, 0.01) for c in centers] + [Box.ball(t2, seed, 0.01)]
+    together = _explore(gens, _root(t2, seed, 1 / 64), 8, targets=targets)
+    assert together == [_explore(gens, _root(t2, seed, 1 / 64), 8, targets=[t])[0] for t in targets]
+    assert together[-1] == () and None in together
+    assert {len(w) for w in together if w is not None} == {0, 5, 6, 7, 8}
+    for w, t in zip(together, targets):
+        assert w is None or t.contains(apply_word(gens, w, seed))
+
+
+def test_region_search_expands_a_seed_outside_its_region(triple_ifs):
+    # the region, not the space, bounds a region search: the seed -0.5 lies
+    # outside both and is still expanded; its image -0.25 is dropped, not
+    # visited, and the search ends at the image 0.25 that hits its target
+    line = triple_ifs.space
+    reach = _root(line, [-0.5], 1 / 16)
+    words = _explore(
+        triple_ifs.generators, reach, 5, targets=[Box(line, [0.2], [0.3])], region=Box(line, [0.0], [1.0])
+    )
+    assert words == [(2,)]
+    assert reach.reps.ravel().tolist() == [-0.5, 0.0] and reach.visited_count == 3
+    with pytest.raises(PointOutsideDomain):
+        forward_orbit(triple_ifs, [-0.5], depth=1, eps=1 / 16)
 
 
 @settings(max_examples=25)

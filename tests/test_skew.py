@@ -3,16 +3,22 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from dynlab.covering import verify_covering
 from dynlab.errors import NotFixedPoint, NotInvertible
-from dynlab.shifts import ShiftPoint
+from dynlab.perturb import perturb_map
+from dynlab.shifts import ShiftPoint, insert_word
 from dynlab.skew import (
+    FiberMap,
     SkewProduct,
+    _fiber_point_array,
     affine_fiber,
     brute_force_unstable_level,
     enumerate_unstable,
+    fiber_ifs,
     iterate_skew,
     local_unstable,
     project_unstable_equals_ifs,
+    sample_strip,
     verify_symbolic_cs_blender,
     verify_symbolic_double_blender,
 )
@@ -176,6 +182,123 @@ def test_projection_requires_fixed_point():
         project_unstable_equals_ifs(sk, (x, F(0)), 3, 2**-5)
 
 
+def scalar_symbolic_search(phi, region, eps, strip_samples, seed, depth_max, generator_major):
+    """Reference: the scalar dict search that verify_symbolic_cs_blender ran
+    per strip before the orbit core. It visited images frontier-major (for
+    each frontier point, each symbol); generator_major swaps the two loops."""
+    rng = np.random.default_rng(seed)
+    x0, y0 = phi.fixed_point(0)
+    results = []
+    worst = 0
+    for _ in range(strip_samples):
+        sbase, ball = sample_strip(phi, region, eps, rng)
+        hit = None
+        dedup_eps = min(eps, ball.radius) / 8.0
+        space = region.space
+        seen = {tuple(space.cell_index(_fiber_point_array(y0), dedup_eps))}
+        frontier = [((), y0)]
+        if ball.contains(_fiber_point_array(y0)):
+            hit = ((), y0)
+        depth = 0
+        while hit is None and depth < depth_max and frontier:
+            depth += 1
+            nxt = []
+            if generator_major:
+                visits = [(w, v, s) for s in range(phi.d) for w, v in frontier]
+            else:
+                visits = [(w, v, s) for w, v in frontier for s in range(phi.d)]
+            for w, v, s in visits:
+                v2 = phi.contracting[s].apply(v)
+                pt = _fiber_point_array(v2)
+                if not region.contains(pt, tol=1e-12):
+                    continue
+                w2 = w + (s,)
+                if ball.contains(pt):
+                    hit = (w2, v2)
+                    break
+                key = tuple(space.cell_index(pt, dedup_eps))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((w2, v2))
+            frontier = nxt
+        if hit is None:
+            results.append({"hit": False, "depth": None})
+        else:
+            word, fiber = hit
+            leaf_base = insert_word(x0, word + (sbase.symbol(1),))
+            witness = leaf_base.splice_right(sbase)
+            ok = witness.agrees(sbase, 1, 12)
+            results.append({"hit": True, "depth": len(word), "witness_ok": ok})
+            worst = max(worst, len(word))
+    n_hit = sum(1 for r in results if r["hit"])
+    return {
+        "pass": n_hit == strip_samples,
+        "worst_depth": worst,
+        "hits": n_hit,
+        "samples": strip_samples,
+        "per_strip": results,
+    }
+
+
+def perturbed_triple_skew(eta, seed):
+    line = unit_interval_space(1)
+    fibers = []
+    for i, c in enumerate((0.0, 0.25, 0.5)):
+        pert = perturb_map(affine_fiber(line, 0.5, c, f"f{i}").smooth, eta, seed=seed * 10 + i)
+        fibers.append(
+            FiberMap(
+                smooth=pert,
+                apply=lambda y, m=pert: float(m.fn(np.array([float(y)]))[0]),
+                apply_inv=lambda y, m=pert: float(m.invert(np.array([float(y)]))[0]),
+            )
+        )
+    return SkewProduct(d=3, fiber_space=line, contracting=fibers)
+
+
+def fraction_double_skew():
+    """Contracting maps and their exact inverses as the expanding part."""
+    line = unit_interval_space(1)
+    shifts = [F(0), F(1, 4), F(1, 2)]
+    cs = [affine_fiber(line, F(1, 2), c, f"f{i}") for i, c in enumerate(shifts)]
+    exp = [affine_fiber(line, F(2), -2 * c, f"inv{i}") for i, c in enumerate(shifts)]
+    return SkewProduct(d=3, fiber_space=line, contracting=cs, expanding=exp)
+
+
+def test_symbolic_search_matches_the_scalar_search():
+    line = unit_interval_space(1)
+    D = Box(line, [0.0], [1.0])
+    fd = fraction_double_skew()
+    cu = [FiberMap(smooth=f.smooth.inverse, apply=f.apply_inv, apply_inv=f.apply) for f in fd.expanding]
+    gap = [affine_fiber(line, 0.5, c, f"g{i}") for i, c in enumerate((0.0, 0.6))]
+    margin = verify_covering(fiber_ifs(triple_skew(exact=False).contracting, D), D, 1 / 16).margin
+    systems = {
+        "triple": (triple_skew(exact=False), 24),
+        "gap-pair": (SkewProduct(d=2, fiber_space=line, contracting=gap), 12),
+        "fraction-double-cs": (fd, 24),
+        "fraction-double-cu": (SkewProduct(d=3, fiber_space=line, contracting=cu), 24),
+        **{f"perturbed-{s}": (perturbed_triple_skew(0.3 * margin, s), 24) for s in (1, 2, 3)},
+    }
+    order_changes = []
+    for name, (sk, depth_max) in systems.items():
+        for eps in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
+            for seed in range(3):
+                got = verify_symbolic_cs_blender(sk, D, eps, 40, seed, depth_max)
+                assert got == scalar_symbolic_search(sk, D, eps, 40, seed, depth_max, True)
+                frontier_major = scalar_symbolic_search(sk, D, eps, 40, seed, depth_max, False)
+                if got != frontier_major:
+                    pairs = enumerate(zip(frontier_major["per_strip"], got["per_strip"]))
+                    strips = [(i, a["depth"], b["depth"]) for i, (a, b) in pairs if a != b]
+                    worst = (frontier_major["worst_depth"], got["worst_depth"])
+                    order_changes.append((name, eps, seed, strips, *worst))
+    # frontier-major and generator-major visits keep different cell
+    # representatives; on these 84 runs of 40 strips one strip's word
+    # comes out one level longer, and no verdict changes
+    assert order_changes == [("perturbed-3", 1 / 128, 2, [(30, 4, 5)], 5, 5)]
+    double = verify_symbolic_double_blender(fd, D, D, 1 / 32, 40, seed=5)
+    assert double["cs"] == verify_symbolic_cs_blender(fd, D, 1 / 32, 40, 5)
+    assert double["cu"] == verify_symbolic_cs_blender(systems["fraction-double-cu"][0], D, 1 / 32, 40, 6)
+
+
 def test_cs_blender_triple_passes():
     sk = triple_skew(exact=False)
     D = Box(sk.fiber_space, [0.0], [1.0])
@@ -212,14 +335,10 @@ def test_double_blender_affine_pair():
 
 def test_double_blender_symplectic_pairing():
     # expanding maps are the inverses of the contracting ones
-    line = unit_interval_space(1)
-    shifts = [F(0), F(1, 4), F(1, 2)]
-    cs = [affine_fiber(line, F(1, 2), c, f"f{i}") for i, c in enumerate(shifts)]
-    exp = [affine_fiber(line, F(2), -2 * c, f"inv{i}") for i, c in enumerate(shifts)]
-    sk = SkewProduct(d=3, fiber_space=line, contracting=cs, expanding=exp)
-    for f, e in zip(cs, exp):
+    sk = fraction_double_skew()
+    for f, e in zip(sk.contracting, sk.expanding):
         assert e.apply(f.apply(F(1, 3))) == F(1, 3)
-    D = Box(line, [0.0], [1.0])
+    D = Box(sk.fiber_space, [0.0], [1.0])
     rep = verify_symbolic_double_blender(sk, D, D, 1 / 32, 60, seed=5)
     assert rep["pass"]
 
@@ -233,19 +352,7 @@ def test_double_blender_requires_expanding_part():
 
 def test_blender_verdict_stable_under_perturbation():
     # perturb the fiber maps by 0.05 * lam and re-run the strip check
-    from dynlab.perturb import perturb_map
-
-    line = unit_interval_space(1)
-    lam = 0.5
     for seed in range(3):
-        fibers = []
-        for i, c in enumerate((0.0, 0.25, 0.5)):
-            base = affine_fiber(line, lam, c, f"f{i}")
-            pert = perturb_map(base.smooth, 0.05 * lam, seed=seed * 10 + i)
-            fibers.append(
-                type(base)(smooth=pert, apply=lambda y, m=pert: float(m.fn(np.array([float(y)]))[0]),
-                           apply_inv=lambda y, m=pert: float(m.invert(np.array([float(y)]))[0]))
-            )
-        sk = SkewProduct(d=3, fiber_space=line, contracting=fibers)
-        rep = verify_symbolic_cs_blender(sk, Box(line, [0.0], [1.0]), 1 / 32, 40, seed=11)
+        sk = perturbed_triple_skew(0.05 * 0.5, seed)
+        rep = verify_symbolic_cs_blender(sk, Box(sk.fiber_space, [0.0], [1.0]), 1 / 32, 40, seed=11)
         assert rep["pass"], seed

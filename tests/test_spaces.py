@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynlab.errors import PointOutsideDomain
@@ -47,6 +47,20 @@ def test_canonicalize_and_domain_check():
     assert p[1] == pytest.approx(0.4)
     with pytest.raises(PointOutsideDomain):
         sp.check_inside(np.array([1.5, 0.2]))
+
+
+@example(x=-1e-20, period=1.0)
+@given(st.floats(-1e6, 1e6), st.sampled_from([1.0, 0.5, 2.0 * np.pi]))
+def test_canonicalize_lands_in_the_period_and_is_idempotent(x, period):
+    # np.mod(-1e-20, 1.0) rounds to 1.0 itself; canonical points never equal
+    # the period, and canonicalizing them again changes no bit
+    mixed = StateSpace((Circle(period), Interval(-1e7, 1e7), Circle(period)))
+    for sp, p in ((mixed, [x, x, -x]), (torus(1, period), [x])):
+        c = sp.canonicalize(np.array(p))
+        circles = c[[i for i, f in enumerate(sp.factors) if isinstance(f, Circle)]]
+        assert np.all((0.0 <= circles) & (circles < period))
+        assert np.array_equal(sp.canonicalize(c), c)
+    assert mixed.canonicalize(np.array([x, x, -x]))[1] == x
 
 
 def test_cell_index_wraps_on_circles():
