@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import LambdaOutOfRange, NoMetadata, StepLimit, Uncovered
-from .ifs import IFS, Word, apply_word
+from .ifs import IFS, GeneratorBank, Word, apply_word
 from .maps import SmoothMap
 from .spaces import Box
 
@@ -354,15 +354,22 @@ def construct_translations(phi: SmoothMap, lam: float, eps: float) -> IFS:
 
     centers = eps * cover_unit_ball(n, lam / 4.0)
     k1 = len(centers)
-    gens = [phi]
-    for i, c in enumerate(centers):
-        gens.append(translate_map(phi, c, name=f"{phi.name}+c{i}"))
-    for i, z in enumerate(centers):
-        c = z - phi(z)  # fixed point of phi + c is exactly z
-        gens.append(translate_map(phi, c, name=f"{phi.name}+z{i}"))
+    # fixed point of phi + c is exactly z for c = z - phi(z)
+    shifts = np.concatenate([centers, [z - phi(z) for z in centers]])
+    names = [f"{phi.name}+c{i}" for i in range(k1)] + [f"{phi.name}+z{i}" for i in range(k1)]
+    gens = [phi] + [translate_map(phi, c, name=nm) for c, nm in zip(shifts, names)]
 
     region = Box.ball(space, origin, eps)
-    out = IFS(generators=gens, domain_region=region)
+    bank = None
+    if phi.affine is not None:
+        A, b = phi.affine
+        k = len(gens)
+        bank = GeneratorBank(
+            A=np.broadcast_to(A, (k, n, n)),
+            b=np.broadcast_to(b, (k, n)),
+            c=np.concatenate([np.full((1, n), -0.0), shifts]),
+        )
+    out = IFS(generators=gens, domain_region=region, bank=bank)
     out.info = {"k1": k1, "eps": eps, "lam": lam, "grid": centers}
     return out
 

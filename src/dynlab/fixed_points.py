@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotHyperbolic, SingularJacobian
 from .maps import SmoothMap, jacobian
+from .spaces import StateSpace
 
 UNIT_TOL = 1e-9  # modulus this close to 1 counts as neutral
 
@@ -47,6 +48,44 @@ def is_delta_weak(moduli, delta: float) -> bool:
     return bool(ok_s and ok_u)
 
 
+def contract_rows(
+    raw,
+    space: StateSpace,
+    x0,
+    lips,
+    names,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Fixed points of k contractions of one space by one row-masked iteration.
+
+    raw(X, rows) evaluates the maps of the given rows, one point each. Row i
+    starts at x0[i] and, unless its residual |f_i(x) - x| is already below
+    tol, iterates x <- f_i(x) until the residual drops below
+    tol * max(1 - lip_i, 1e-3): the distance to the fixed point is at most
+    residual/(1 - lip_i), so the point is then within tol of it. The image
+    that gives the residual is the next iterate, so a step costs one
+    evaluation. NoConvergence names the first row still moving after
+    max_iter steps.
+    """
+    x = space.canonicalize(x0)
+    live = np.arange(len(x))
+    y = space.canonicalize(raw(x, live))
+    res = np.abs(space.diff(y, x)).max(axis=-1)
+    live = live[res >= tol]
+    eff = tol * np.maximum(1.0 - np.asarray(lips, dtype=float), 1e-3)
+    for _ in range(max_iter):
+        if not len(live):
+            return x
+        x[live] = y[live]
+        y[live] = space.canonicalize(raw(x[live], live))
+        res = np.abs(space.diff(y[live], x[live])).max(axis=-1)
+        live = live[~(res < eff[live])]
+    if len(live):
+        raise NoConvergence(f"{names[live[0]]}: contraction iteration stalled")
+    return x
+
+
 def find_fixed_point(
     m: SmoothMap,
     guess,
@@ -57,8 +96,9 @@ def find_fixed_point(
     """Locate a fixed point from the guess.
 
     Contracting maps (lip < 1 metadata) use plain iteration, which converges
-    from any starting point of the domain. Otherwise a damped Newton solve on
-    f(x) - x runs, which needs the guess inside the Newton basin.
+    from any starting point of the domain; it is contract_rows on a batch of
+    one. Otherwise a damped Newton solve on f(x) - x runs, which needs the
+    guess inside the Newton basin.
     """
     x = np.asarray(guess, dtype=float).copy()
     x = m.domain.canonicalize(x)
@@ -72,20 +112,14 @@ def find_fixed_point(
         if np.linalg.cond(eye - A) < 1e14:
             x = m.domain.canonicalize(np.linalg.solve(eye - A, b))
 
-    r = residual(x)
-    if np.max(np.abs(r)) >= tol:
-        if m.is_contracting:
-            # contraction iteration; the distance to the fixed point is at
-            # most residual/(1 - lip), so push the residual below that
-            eff = tol * max(1.0 - m.lip, 1e-3)
-            for _ in range(max_iter):
-                x = m.domain.canonicalize(m.fn(x))
-                r = residual(x)
-                if np.max(np.abs(r)) < eff:
-                    break
-            else:
-                raise NoConvergence(f"{m.name}: contraction iteration stalled")
-        else:
+    if m.is_contracting:
+        x = contract_rows(
+            lambda X, rows: m.fn(X[0])[None], m.domain, x[None], [m.lip], [m.name],
+            tol=tol, max_iter=max_iter,
+        )[0]
+    else:
+        r = residual(x)
+        if np.max(np.abs(r)) >= tol:
             for _ in range(max_iter):
                 J = jacobian(m, x)
                 A = J - np.eye(m.domain.dim)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DynlabError, NoMetadata
-from .fixed_points import FixedPointRecord, find_fixed_point
+from .fixed_points import FixedPointRecord, contract_rows, find_fixed_point
 from .maps import SmoothMap
 from .spaces import Box, StateSpace
 
@@ -48,12 +48,43 @@ def apply_word(generators: list[SmoothMap], word: Word, x) -> np.ndarray:
     return y
 
 
+@dataclass(frozen=True)
+class GeneratorBank:
+    """Stacked parameters of a translated, optionally perturbed family.
+
+    Row i is the generator x -> ((x A_i^T + b_i) + c_i) + B_i(x): phi's
+    linear part A_i and offset b_i, the translation c_i (-0.0 on phi's own
+    row, which changes no bit, not even a zero's sign) and, once perturbed,
+    the trig field B_i(x) = amps_i sin(2 pi (x freqs_i^T + phases_i)).
+    ``raw`` evaluates rows as the generators' own ``fn`` does on a single
+    point, bit for bit: each row's products go through matmul on a (1, n)
+    row, and the sums keep the generators' association.
+    """
+
+    A: np.ndarray  # (k, n, n)
+    b: np.ndarray  # (k, n)
+    c: np.ndarray  # (k, n)
+    freqs: np.ndarray | None = None  # (k, n, n)
+    phases: np.ndarray | None = None  # (k, n)
+    amps: np.ndarray | None = None  # (k, n)
+
+    def raw(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Generator rows[j] at the point X[j], shape (len(rows), n)."""
+        X = np.asarray(X, dtype=float)[:, None, :]
+        y = np.matmul(X, np.swapaxes(self.A[rows], 1, 2))[:, 0, :] + self.b[rows] + self.c[rows]
+        if self.freqs is None:
+            return y
+        phase = np.matmul(X, np.swapaxes(self.freqs[rows], 1, 2))[:, 0, :] + self.phases[rows]
+        return y + self.amps[rows] * np.sin(2 * math.pi * phase)
+
+
 @dataclass
 class IFS:
     generators: list[SmoothMap]
     domain_region: Box
     fixed_points: list[FixedPointRecord] | None = None
     info: dict = field(default_factory=dict)  # construction metadata
+    bank: GeneratorBank | None = None  # the generators, stacked, when they allow it
 
     def __post_init__(self):
         if not self.generators:
@@ -79,12 +110,25 @@ class IFS:
             raise NoMetadata("generators lack lam/lip contraction metadata")
         return min(lams), max(lips)
 
-    def compute_fixed_points(self, tol: float = 1e-12) -> list[FixedPointRecord]:
+    def compute_fixed_points(self) -> list[FixedPointRecord]:
+        """One record per generator, each from find_fixed_point.
+
+        With a bank, the contracting non-affine generators are iterated
+        together by contract_rows from the region's center first, so each
+        find_fixed_point starts at its converged iterate and only recomputes
+        the record. Every other generator starts at the center.
+        """
         if self.fixed_points is None:
-            self.fixed_points = [
-                find_fixed_point(g, self.domain_region.center, tol=tol)
-                for g in self.generators
-            ]
+            gens = self.generators
+            guesses = np.tile(self.domain_region.center, (len(gens), 1))
+            rows = [i for i, g in enumerate(gens) if g.affine is None and g.is_contracting]
+            if self.bank is not None and rows:
+                rows = np.array(rows)
+                guesses[rows] = contract_rows(
+                    lambda X, live: self.bank.raw(X, rows[live]), self.space, guesses[rows],
+                    [gens[i].lip for i in rows], [gens[i].name for i in rows],
+                )
+            self.fixed_points = [find_fixed_point(g, x) for g, x in zip(gens, guesses)]
         return self.fixed_points
 
     def fixed_point_array(self) -> np.ndarray:

@@ -10,16 +10,22 @@ derivative so the composed perturbation still obeys the eta bounds.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 
+from .errors import NoConvergence
 from .maps import SmoothMap
 from .spaces import Circle, StateSpace
 
+_INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
+
 
 def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
-    """Smooth field with sup|B| <= eta and sup|DB| <= eta componentwise."""
+    """Parameters (freqs, phases, amps) of a smooth field
+    B(x) = amps * sin(2 pi (x freqs^T + phases)) with sup|B| <= eta and
+    sup|DB| <= eta componentwise."""
     dim = space.dim
     extents = space.extents()
     freqs = np.zeros((dim, dim))
@@ -32,20 +38,7 @@ def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
             k[j] = base * int(rng.integers(1, 3)) * (1 if isinstance(f, Circle) else 0.5)
         freqs[i] = k
         amps[i] = min(1.0, 1.0 / (2 * pi * np.abs(k).sum()))
-    amps = amps * eta
-
-    def B(x):
-        x = np.asarray(x, dtype=float)
-        phase = x @ freqs.T + phases
-        return amps * np.sin(2 * pi * phase)
-
-    def DB(x):
-        x = np.asarray(x, dtype=float)
-        phase = x @ freqs.T + phases
-        c = np.cos(2 * pi * phase)
-        return (amps * c)[..., :, None] * (2 * pi * freqs)
-
-    return B, DB
+    return freqs, phases, amps * eta
 
 
 def _shear_pair(space: StateSpace, eta: float, rng: np.random.Generator):
@@ -93,8 +86,14 @@ def _shear_pair(space: StateSpace, eta: float, rng: np.random.Generator):
 
 def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
     """Seeded smooth perturbation of G with C^0 and C^1 size at most eta."""
+    return _perturb(G, eta, seed)[0]
+
+
+def _perturb(G: SmoothMap, eta: float, seed: int):
+    """perturb_map, with the trig field's (freqs, phases, amps) alongside, or
+    None when no trig field was added (eta 0 or a symplectic G)."""
     if eta == 0.0:
-        return G
+        return G, None
     rng = np.random.default_rng(seed)
     space = G.domain
 
@@ -134,17 +133,19 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
                 inverse=out,
             )
             out.inverse = inv
-        return out
+        return out, None
 
-    B, DB = _trig_field(space, eta, rng)
+    field = _trig_field(space, eta, rng)
+    freqs, phases, amps = field
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        return G.fn(x) + B(x)
+        return G.fn(x) + amps * np.sin(2 * pi * (x @ freqs.T + phases))
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        return G.jacobian(x) + DB(x)
+        c = np.cos(2 * pi * (x @ freqs.T + phases))
+        return G.jacobian(x) + (amps * c)[..., :, None] * (2 * pi * freqs)
 
     out = SmoothMap(
         domain=space,
@@ -159,15 +160,22 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
         base_inv = G.inverse
 
         def fn_inv(y):
-            # warm-started Newton: the unperturbed inverse is eta-close
+            # warm-started Newton: the unperturbed inverse is eta-close. The
+            # whole batch steps until its worst residual is below 1e-13, so a
+            # row's bits depend on its batch; the last iterate must verify.
             y = np.asarray(y, dtype=float)
             x = base_inv.fn(y)
-            for _ in range(6):
+            for _ in range(_INVERSE_STEPS):
                 r = fn(x) - y
                 J = jac(x)
                 x = x - np.linalg.solve(J, r[..., None])[..., 0]
                 if np.max(np.abs(r)) < 1e-13:
-                    break
+                    return x
+            r = float(np.max(np.abs(fn(x) - y)))
+            if not r < 1e-13:
+                raise NoConvergence(
+                    f"{G.name}~{eta}^-1: Newton left residual {r:.2e} after {_INVERSE_STEPS} steps"
+                )
             return x
 
         out.inverse = SmoothMap(
@@ -177,15 +185,24 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
             name=f"{G.name}~{eta}^-1",
             inverse=out,
         )
-    return out
+    return out, field
 
 
 def perturb_ifs(ifs, eta: float, seed: int):
-    """Perturb every generator with independent seeded fields."""
+    """Perturb every generator with independent seeded fields. A banked
+    family whose generators all get a trig field keeps its bank, with the
+    fields stacked."""
     from .ifs import IFS
 
-    gens = [perturb_map(g, eta, seed + 1000 * i) for i, g in enumerate(ifs.generators)]
-    return IFS(gens, ifs.domain_region)
+    gens, fields = zip(*(_perturb(g, eta, seed + 1000 * i) for i, g in enumerate(ifs.generators)))
+    if all(f is None for f in fields):  # eta 0: the generators are unchanged
+        bank = ifs.bank
+    elif ifs.bank is not None and ifs.bank.freqs is None and all(f is not None for f in fields):
+        freqs, phases, amps = map(np.stack, zip(*fields))
+        bank = replace(ifs.bank, freqs=freqs, phases=phases, amps=amps)
+    else:
+        bank = None
+    return IFS(list(gens), ifs.domain_region, bank=bank)
 
 
 def robustness_sweep(

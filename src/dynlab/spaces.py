@@ -58,6 +58,9 @@ class StateSpace:
         circles = [i for i, f in enumerate(self.factors) if isinstance(f, Circle)]
         object.__setattr__(self, "_circles", circles)
         object.__setattr__(self, "_period", np.array([getattr(f, "period", np.nan) for f in self.factors]))
+        # interval bounds per column (unbounded on circles), for check_inside
+        object.__setattr__(self, "_lo", np.array([getattr(f, "lo", -np.inf) for f in self.factors]))
+        object.__setattr__(self, "_hi", np.array([getattr(f, "hi", np.inf) for f in self.factors]))
 
     @property
     def dim(self) -> int:
@@ -91,17 +94,16 @@ class StateSpace:
         return out
 
     def check_inside(self, x: np.ndarray, tol: float = 1e-9) -> None:
-        """Raise PointOutsideDomain if an interval coordinate exits [lo, hi] by > tol."""
+        """Raise PointOutsideDomain if an interval coordinate exits [lo, hi] by
+        > tol; the message names the first such coordinate."""
         x = np.asarray(x, dtype=float)
-        for i, f in enumerate(self.factors):
-            if isinstance(f, Interval):
-                ci = x[..., i]
-                if np.any(ci < f.lo - tol) or np.any(ci > f.hi + tol):
-                    bad = float(np.ravel(ci)[0]) if ci.ndim == 0 else None
-                    raise PointOutsideDomain(
-                        f"coordinate {i} outside [{f.lo}, {f.hi}]"
-                        + (f": {bad}" if bad is not None else "")
-                    )
+        out = (x < self._lo - tol) | (x > self._hi + tol)
+        if out.any():
+            i = int(np.argmax(out.reshape(-1, self.dim).any(axis=0)))
+            f = self.factors[i]
+            raise PointOutsideDomain(
+                f"coordinate {i} outside [{f.lo}, {f.hi}]" + (f": {float(x[i])}" if x.ndim == 1 else "")
+            )
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         try:

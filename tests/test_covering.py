@@ -14,8 +14,9 @@ from dynlab.covering import (
     verify_covering,
     verify_well_distributed,
 )
-from dynlab.errors import LambdaOutOfRange, Uncovered
-from dynlab.ifs import IFS
+from dynlab.errors import LambdaOutOfRange, NoConvergence, Uncovered
+from dynlab.fixed_points import find_fixed_point
+from dynlab.ifs import IFS, GeneratorBank
 from dynlab.maps import SmoothMap, affine_map
 from dynlab.perturb import perturb_ifs, perturb_map
 from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
@@ -475,3 +476,131 @@ def test_density_robust_under_small_perturbation():
             word = certify_density(pert, [0.0], Box.ball(line, c, 1e-3), 60, cert)
             landed = pert.apply_word(word, [0.0])
             assert abs(landed[0] - c[0]) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the generator bank and the stacked fixed-point solve
+# ---------------------------------------------------------------------------
+
+_FAMILIES: dict = {}
+
+
+def _translated_family(n, lam, offset):
+    """construct_translations of x -> lam x + offset on [-1, 1]^n, built once
+    per (n, lam, offset). A nonzero offset (phi(0) = 0 holds to 1e-9) makes
+    the association of the offset and the translations visible."""
+    if (n, lam, offset) not in _FAMILIES:
+        space = StateSpace(tuple(Interval(-1, 1) for _ in range(n)))
+        phi = affine_map(space, lam * np.eye(n), np.full(n, offset), name="phi")
+        _FAMILIES[n, lam, offset] = construct_translations(phi, lam, 0.9 * (1 - lam) / (1 + lam))
+    return _FAMILIES[n, lam, offset]
+
+
+def _scalar_contraction(m, x, tol=1e-12, max_iter=200):
+    """Reference: the scalar contraction loop, two evaluations per step."""
+    x = m.domain.canonicalize(np.asarray(x, dtype=float).copy())
+
+    def residual(p):
+        return m.domain.diff(m.codomain.canonicalize(m.fn(p)), p)
+
+    if np.max(np.abs(residual(x))) >= tol:
+        eff = tol * max(1.0 - m.lip, 1e-3)
+        for _ in range(max_iter):
+            x = m.domain.canonicalize(m.fn(x))
+            if np.max(np.abs(residual(x))) < eff:
+                break
+        else:
+            raise NoConvergence(f"{m.name}: contraction iteration stalled")
+    return x
+
+
+def _assert_records_match_reference(ifs, rows):
+    """The IFS's records equal, byte for byte, find_fixed_point from the
+    region's center, one generator at a time; the points also equal the
+    scalar contraction loop's."""
+    recs = ifs.compute_fixed_points()
+    center = ifs.domain_region.center
+    for i in rows:
+        g = ifs.generators[i]
+        ref = find_fixed_point(g, center)
+        got = recs[i]
+        assert got.point.tobytes() == ref.point.tobytes(), g.name
+        assert got.eigen_moduli == ref.eigen_moduli and got.residual == ref.residual
+        assert got.classification == ref.classification and got.map is g
+        if g.affine is None:
+            assert got.point.tobytes() == _scalar_contraction(g, center).tobytes(), g.name
+
+
+@settings(max_examples=10)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lam=st.sampled_from([0.3, 0.5, 0.7]),
+    offset=st.sampled_from([0.0, 3e-10]),
+    seed=st.integers(0, 2**20),
+    rows_seed=st.integers(0, 2**20),
+)
+def test_stacked_fixed_points_match_the_scalar_reference(n, lam, offset, seed, rows_seed):
+    ifs = _translated_family(n, lam, offset)
+    pert = perturb_ifs(ifs, 0.05 * lam, seed=seed)
+    assert pert.bank is not None and pert.bank.freqs.shape == (ifs.k, n, n)
+    # a sample of the rows, though all of them are solved together
+    rows = np.random.default_rng(rows_seed).choice(ifs.k, min(ifs.k, 100), replace=False)
+    _assert_records_match_reference(pert, rows)
+
+
+@settings(max_examples=12)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lam=st.sampled_from([0.3, 0.5, 0.7]),
+    offset=st.sampled_from([0.0, 3e-10]),
+    seed=st.integers(0, 2**20),
+    eta=st.sampled_from([0.0, 0.01, 0.05]),
+)
+def test_bank_rows_equal_their_generators(n, lam, offset, seed, eta):
+    ifs = perturb_ifs(_translated_family(n, lam, offset), eta * lam, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, ifs.k, 64)
+    X = rng.uniform(-1, 1, (64, n))
+    got = ifs.bank.raw(X, rows)
+    for j, i in enumerate(rows):
+        assert got[j].tobytes() == ifs.generators[i].fn(X[j]).tobytes()
+
+
+def test_stalling_row_names_its_generator():
+    line = StateSpace((Interval(-1, 1),))
+    # "slow" and "slower" declare lip 0.5 but contract by 0.9999 and
+    # 0.99995, so 200 steps leave them far from their fixed points 0.4 and
+    # -0.4; the error names "slow", the first the scalar loop would meet
+    slopes = np.array([0.5, 0.9999, 0.5, 0.99995])
+    shifts = np.array([0.1, 0.4 * 1e-4, -0.1, -0.4 * 0.5e-4])
+    gens = [
+        SmoothMap(line, line, lambda x, a=a, c=c: x * a + 0.0 + c, name=name, lam=0.5, lip=0.5)
+        for a, c, name in zip(slopes, shifts, ("left", "slow", "right", "slower"))
+    ]
+    bank = GeneratorBank(A=slopes[:, None, None], b=np.zeros((4, 1)), c=shifts[:, None])
+    ifs = IFS(gens, Box(line, [-0.5], [0.5]), bank=bank)
+    with pytest.raises(NoConvergence, match="^slow: contraction iteration stalled$"):
+        ifs.compute_fixed_points()
+    with pytest.raises(NoConvergence, match="^slow: contraction iteration stalled$"):
+        find_fixed_point(gens[1], [0.0])
+    # without the stalling rows, the stacked solve matches the scalar one
+    keep = [0, 2]
+    bank = GeneratorBank(A=bank.A[keep], b=bank.b[keep], c=bank.c[keep])
+    _assert_records_match_reference(IFS([gens[i] for i in keep], ifs.domain_region, bank=bank), [0, 1])
+
+
+def test_non_affine_base_keeps_the_scalar_path():
+    space = StateSpace((Interval(-1, 1), Interval(-1, 1)))
+    lam = 0.5
+    # phi(x) = lam x + (lam/10) sin(x): contracting, fixing 0, not affine
+    phi = SmoothMap(
+        space, space, lambda x: lam * x + 0.1 * lam * np.sin(x),
+        jac=lambda x: np.eye(2) * (lam + 0.1 * lam * np.cos(x))[..., None, :],
+        name="phi", lam=0.9 * lam, lip=1.1 * lam,
+    )
+    ifs = construct_translations(phi, 0.9 * lam, 0.25)
+    assert ifs.bank is None
+    _assert_records_match_reference(ifs, range(0, ifs.k, 5))
+    pert = perturb_ifs(ifs, 0.02, seed=3)
+    assert pert.bank is None
+    _assert_records_match_reference(pert, range(0, pert.k, 5))

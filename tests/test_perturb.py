@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynlab.errors import NoConvergence
 from dynlab.maps import affine_map, check_symplectic, jacobian
 from dynlab.perturb import perturb_ifs, perturb_map, robustness_sweep
 from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
@@ -65,6 +66,19 @@ def test_perturbed_inverse_newton_warm_start():
     y = np.linspace(0.15, 0.55, 9)[:, None]
     x = gp.invert(y)
     assert np.max(np.abs(gp.fn(x) - y)) < 1e-11
+
+
+def test_perturbed_inverse_raises_when_newton_runs_out():
+    line = unit_interval_space(1)
+    g = affine_map(line, [[0.5]], [0.1])
+    # a warm start 1e6 away: 6 Newton steps cannot close the gap
+    far = g.with_meta(inverse=g.inverse.with_meta(fn=lambda y: y + 1e6))
+    y = np.array([[0.2], [0.3]])
+    with pytest.raises(NoConvergence, match=r"~0\.02\^-1: Newton left residual"):
+        perturb_map(far, 0.02, seed=9).invert(y)
+    # the map's own inverse is a warm start close enough
+    gp = perturb_map(g, 0.02, seed=9)
+    assert np.max(np.abs(gp.fn(gp.invert(y)) - y)) < 1e-13
 
 
 def test_perturb_ifs_keeps_metadata():

@@ -49,6 +49,19 @@ def test_canonicalize_and_domain_check():
         sp.check_inside(np.array([1.5, 0.2]))
 
 
+def test_check_inside_names_the_first_offending_coordinate():
+    sp = StateSpace((Circle(1.0), Interval(-1, 1), Interval(0, 2), Circle(1.0), Interval(0, 1)))
+    sp.check_inside(np.array([[7.5, 1.0 + 1e-10, -1e-10, -3.0, 0.5]]))
+    with pytest.raises(PointOutsideDomain, match=r"^coordinate 2 outside \[0, 2\]: 2.5$"):
+        sp.check_inside(np.array([9.0, 0.0, 2.5, 0.0, 1.5]))
+    batch = np.array([[0.0, 0.0, 1.0, 0.0, 1.5], [0.0, -1.5, 1.0, 0.0, 0.5]])
+    with pytest.raises(PointOutsideDomain, match=r"^coordinate 1 outside \[-1, 1\]$"):
+        sp.check_inside(batch)
+    with pytest.raises(PointOutsideDomain, match=r"^coordinate 4 outside \[0, 1\]$"):
+        sp.check_inside(batch[:1])
+    assert not sp.contains(batch) and sp.contains(np.array([0.0, 0.0, 1.0, 0.0, 0.5]))
+
+
 @example(x=-1e-20, period=1.0)
 @given(st.floats(-1e6, 1e6), st.sampled_from([1.0, 0.5, 2.0 * np.pi]))
 def test_canonicalize_lands_in_the_period_and_is_idempotent(x, period):
