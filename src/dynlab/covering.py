@@ -84,57 +84,108 @@ def translation_count(n: int, lam: float) -> int:
 # image-inclusion oracle
 # ---------------------------------------------------------------------------
 
-def _is_diagonal(A: np.ndarray) -> bool:
-    return np.array_equal(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)
-
-
-def _diag_image_box(gen: SmoothMap, source: Box) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact image box of the source under positive-diagonal affine maps."""
-    if gen.affine is None:
+def _diag_image_boxes(gens: list[SmoothMap], source: Box) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact image boxes (lo, hi), each (len(gens), n), of the source under
+    positive-diagonal affine generators; None unless every one is such."""
+    if any(g.affine is None for g in gens):
         return None
-    A, b = gen.affine
-    if not _is_diagonal(A):
+    A = np.array([g.affine[0] for g in gens])
+    b = np.array([g.affine[1] for g in gens])
+    a = np.diagonal(A, axis1=1, axis2=2)
+    if not (np.array_equal(A, np.where(np.eye(A.shape[-1], dtype=bool), A, 0.0)) and np.all(a > 0)):
         return None
-    a = np.diag(A)
     return source.lo * a + b, source.hi * a + b
 
 
 def _slack(
-    gen: SmoothMap, source: Box, lo: np.ndarray, hi: np.ndarray, bind: Box | None
+    ifs: IFS, gi: np.ndarray, source: Box, lo: np.ndarray, hi: np.ndarray, bind: Box | None
 ) -> np.ndarray:
-    """Certified slack of every box [lo[i], hi[i]] inside gen(source).
+    """Certified slack of every box [lo[j], hi[j]] inside generator gi[j]'s
+    image of the source.
 
-    lo and hi have shape (m, n); positive slack certifies the inclusion.
-    Positive-diagonal affine generators: exact distance to the image box
-    sides; sides that reach the boundary of bind do not bind (the inclusion
-    is of box-intersect-bind, per the relative-ball convention), and every
-    side binds when bind is None. Other generators: clearance in the source
-    of pulled-back points, exact from the 2^n corners for affine maps, else
-    from a 3-per-axis subgrid minus half the sample gap over lam. The gap is
-    read from the first box: boxes of one batch share their sides, as grid
-    cells do. A degenerate box is its own single sample.
+    lo and hi have shape (m, n); positive slack certifies the inclusion. The
+    boxes' generators are one generator, or rows of the IFS's bank, so they
+    are of one kind. Positive-diagonal affine generators: exact distance to
+    the image box sides; sides that reach the boundary of bind do not bind
+    (the inclusion is of box-intersect-bind, per the relative-ball
+    convention), and every side binds when bind is None. Other generators:
+    clearance in the source of pulled-back points, exact from the 2^n
+    corners for affine maps, else from a 3-per-axis subgrid minus half the
+    sample gap over lam. The gap is read from the first box: boxes of one
+    batch share their sides, as grid cells do. A degenerate box is its own
+    single sample.
     """
-    image = _diag_image_box(gen, source)
+    gens = ifs.generators
+    use, at = np.unique(gi, return_inverse=True)
+    gen = gens[use[0]]
+    image = _diag_image_boxes([gens[g] for g in use], source)
     if image is not None:
-        img_lo, img_hi = image
+        img_lo, img_hi = image[0][at], image[1][at]
         if bind is None:
             s_lo, s_hi = lo - img_lo, img_hi - hi
         else:
             s_lo = np.where(img_lo > bind.lo + INSIDE_TOL, lo - img_lo, np.inf)
             s_hi = np.where(img_hi < bind.hi - INSIDE_TOL, img_hi - hi, np.inf)
         return np.minimum(s_lo, s_hi).min(axis=-1)
-    if gen.affine is None and gen.lam is None:
+    lams = [gens[g].lam for g in use]
+    if gen.affine is None and None in lams:
         raise NoMetadata(f"{gen.name}: contraction bound needed for inclusion check")
     m, n = lo.shape
     per_axis = 1 if np.array_equal(lo, hi) else 2 if gen.affine is not None else 3
     axes = np.linspace(lo, hi, per_axis, axis=1)  # (m, per_axis, n)
     pick = np.indices((per_axis,) * n).reshape(n, -1).T  # subgrid, last axis fastest
     pts = axes[:, pick, np.arange(n)].reshape(-1, n)
-    clear = source.clearance(gen.invert(pts)).reshape(m, -1).min(axis=1)
+    pre = _pull_back(ifs, np.repeat(gi, len(pick)), pts)
+    clear = source.clearance(pre).reshape(m, -1).min(axis=1)
     if gen.affine is not None:
         return clear
     half_gap = float(np.max((hi[0] - lo[0]) / 2)) / 2.0
-    return clear - half_gap / gen.lam
+    return clear - half_gap / np.array(lams)[at]
+
+
+def _pull_back(ifs: IFS, gi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """generators[gi[j]].invert(pts[j]), with the checks of maps.evaluate:
+    one bank.invert call with a bank, else the one generator's invert."""
+    if ifs.bank is None:
+        return ifs.generators[gi[0]].invert(pts)
+    space = ifs.space
+    pts = space.canonicalize(pts)
+    space.check_inside(pts)
+    return space.canonicalize(ifs.bank.invert(pts, gi))
+
+
+def _candidates(
+    ifs: IFS, source: Box, lo: np.ndarray, hi: np.ndarray, bind: Box | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(generator, box) index pairs that may hold box j inside generator i's
+    image of the source, generator-major with boxes ascending.
+
+    Without a bank, every pair. With one, the rows whose enclosure of the
+    source holds the box once widened by INSIDE_TOL (1 + ||A||_inf); an
+    enclosure side that reaches bind does not bind, as in _slack. A box
+    with slack above -INSIDE_TOL sticks out of the image by at most
+    INSIDE_TOL (an exact side) or ||A||_inf INSIDE_TOL (a pulled-back
+    corner), plus the inverse's residual below 1e-13, so no pair that
+    _slack could accept is left out.
+    """
+    k, m = ifs.k, len(lo)
+    if ifs.bank is None:
+        return np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
+    e_lo, e_hi = ifs.bank.enclosure(source)
+    if bind is not None:
+        e_lo = np.where(e_lo > bind.lo + INSIDE_TOL, e_lo, -np.inf)
+        e_hi = np.where(e_hi < bind.hi - INSIDE_TOL, e_hi, np.inf)
+    widen = INSIDE_TOL * (1.0 + np.abs(ifs.bank.A).sum(axis=2).max(axis=1))[:, None]
+    e_lo, e_hi = e_lo - widen, e_hi + widen
+    lo_t, hi_t = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+    gi, box = [], []
+    block = max(1, 2**20 // m)  # generators per block, to bound the temporaries
+    for s in range(0, k, block):
+        inside = ((lo_t >= e_lo[s:s + block, :, None]) & (hi_t <= e_hi[s:s + block, :, None])).all(axis=1)
+        g, b = np.nonzero(inside)
+        gi.append(g + s)
+        box.append(b)
+    return np.concatenate(gi), np.concatenate(box)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +199,17 @@ class CoveringCertificate:
     axis_counts: np.ndarray
     axis_steps: np.ndarray
     assignment: np.ndarray  # generator index per cell, C-order over the axis grid
-    margin: float  # least slack of the assigned generators
+    margins: np.ndarray  # slack of each cell's assigned generator (0 for tight covers)
     lam: float
     lip: float
     d_value: float | None = None
     well_distributed: bool | None = None
     wd_witness: np.ndarray | None = None
+
+    @property
+    def margin(self) -> float:
+        """Least slack of the assigned generators."""
+        return float(self.margins.min())
 
     @property
     def valid(self) -> bool:
@@ -195,19 +251,29 @@ def verify_covering(
     lo, hi = centers - steps / 2.0, centers + steps / 2.0
     assignment = np.full(len(centers), -1, dtype=int)
     margins = np.full(len(centers), -np.inf)
+    gi, cell = _candidates(ifs, src_region, lo, hi, bind=region)
+    order = np.argsort(cell, kind="stable")  # cell-major, generators ascending
+    gi, cell = gi[order], cell[order]
+    affine = np.array([g.affine is not None for g in ifs.generators])
     # second pass: tight (zero-slack) covers, e.g. images that split the
     # region along a shared edge; sampled checks cannot certify those
     for tight in (False, True):
-        for gi, gen in enumerate(ifs.generators):
-            todo = np.nonzero(assignment < 0)[0]
-            if len(todo) == 0:
-                break
-            if tight and gen.affine is None:
-                continue
-            slack = _slack(gen, src_region, lo[todo], hi[todo], bind=region)
+        keep = assignment[cell] < 0
+        if tight:
+            keep &= affine[gi]
+        g_try, c_try = gi[keep], cell[keep]
+        more = np.append(c_try[1:] == c_try[:-1], False)  # the cell's next pair follows
+        # waves: each unassigned cell tries its next candidate, in index
+        # order; without a bank a wave is one generator on every such cell
+        live = np.flatnonzero(np.diff(c_try, prepend=-1))
+        while len(live):
+            g, c = g_try[live], c_try[live]
+            slack = _slack(ifs, g, src_region, lo[c], hi[c], bind=region)
             hit = slack >= -INSIDE_TOL if tight else slack > INSIDE_TOL
-            assignment[todo[hit]] = gi
-            margins[todo[hit]] = np.maximum(slack[hit], 0.0) if tight else slack[hit]
+            assignment[c[hit]] = g[hit]
+            margins[c[hit]] = np.maximum(slack[hit], 0.0) if tight else slack[hit]
+            live = live[~hit]
+            live = live[more[live]] + 1
 
     if np.any(assignment < 0):
         bad = int(np.nonzero(assignment < 0)[0][0])
@@ -219,7 +285,7 @@ def verify_covering(
         axis_counts=counts,
         axis_steps=steps,
         assignment=assignment,
-        margin=float(margins.min()),
+        margins=margins,
         lam=lam,
         lip=lip,
     )
@@ -246,24 +312,36 @@ def compute_d(
     # own images; every side of a larger image region's image binds
     bind = region if image_region is None else None
     best = np.zeros(len(pts))
-    for gen in ifs.generators:
-        rho = np.maximum(_slack(gen, src_region, pts, pts, bind), 0.0)
-        if _diag_image_box(gen, src_region) is None:
+    # a point outside a generator's candidates has rho = 0; one _slack call
+    # takes a bank's pairs, one per generator otherwise
+    gi, box = _candidates(ifs, src_region, pts, pts, bind)
+    cuts = np.flatnonzero(np.diff(gi)) + 1 if ifs.bank is None else []
+    for part in np.split(np.arange(len(gi)), cuts):
+        if not len(part):
+            continue
+        g, p = gi[part], box[part]
+        rho = np.maximum(_slack(ifs, g, src_region, pts[p], pts[p], bind), 0.0)
+        if _diag_image_boxes([ifs.generators[g[0]]], src_region) is None:
             # inverse-Lipschitz bound: B_rho(x) sits inside gen(src_region)
             # whenever rho <= lam * clearance of the pulled-back point, with
             # lam the max-metric bound; for affine maps 1/||A^-1||_inf, as the
             # declared lam comes from (Euclidean) singular values
-            lam = gen.lam
-            if gen.affine is not None:
-                lam = 1.0 / float(np.abs(np.linalg.inv(gen.affine[0])).sum(axis=1).max())
-            rho = lam * rho
-        best = np.maximum(best, rho)
+            use, at = np.unique(g, return_inverse=True)
+            rho = np.array([_inverse_lipschitz(ifs.generators[i]) for i in use])[at] * rho
+        np.maximum.at(best, p, rho)
 
     d = float(best.min()) - grid_step / 2.0
     if d <= 0:
         raise Uncovered("no positive inner radius on the grid", witness=None)
     cert.d_value = d
     return d
+
+
+def _inverse_lipschitz(gen: SmoothMap) -> float:
+    """Max-metric lower contraction bound of a generator (see compute_d)."""
+    if gen.affine is not None:
+        return 1.0 / float(np.abs(np.linalg.inv(gen.affine[0])).sum(axis=1).max())
+    return gen.lam
 
 
 def verify_well_distributed(
@@ -406,9 +484,9 @@ def _pullback_box(gen: SmoothMap, region: Box, box: Box) -> Box:
     generators get the inscribed ball around the pulled-back center, whose
     radius grows by at least 1/lip.
     """
-    diag = _diag_image_box(gen, region)
+    diag = _diag_image_boxes([gen], region)
     if diag is not None:
-        img_lo, img_hi = diag
+        img_lo, img_hi = diag[0][0], diag[1][0]
         a = np.diag(gen.affine[0])
         b = gen.affine[1]
         lo = (np.maximum(box.lo, img_lo) - b) / a

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DynlabError, NoMetadata
 from .fixed_points import FixedPointRecord, contract_rows, find_fixed_point
 from .maps import SmoothMap
+from .perturb import newton_rows
 from .spaces import Box, StateSpace
 
 Word = tuple[int, ...]
@@ -56,9 +57,11 @@ class GeneratorBank:
     linear part A_i and offset b_i, the translation c_i (-0.0 on phi's own
     row, which changes no bit, not even a zero's sign) and, once perturbed,
     the trig field B_i(x) = amps_i sin(2 pi (x freqs_i^T + phases_i)).
-    ``raw`` evaluates rows as the generators' own ``fn`` does on a single
-    point, bit for bit: each row's products go through matmul on a (1, n)
-    row, and the sums keep the generators' association.
+    ``raw``, ``jac`` and ``invert`` evaluate rows as the generators' own
+    ``fn``, Jacobian and inverse do on a single point, bit for bit: each
+    row's products go through matmul on a (1, n) row, and the sums keep the
+    generators' association. For ``invert`` this holds when phi's inverse is
+    affine_map's y -> (y - b) A^-1^T, with A^-1 = np.linalg.inv(A).
     """
 
     A: np.ndarray  # (k, n, n)
@@ -67,15 +70,58 @@ class GeneratorBank:
     freqs: np.ndarray | None = None  # (k, n, n)
     phases: np.ndarray | None = None  # (k, n)
     amps: np.ndarray | None = None  # (k, n)
+    Ainv: np.ndarray = field(init=False, repr=False)  # (k, n, n), np.linalg.inv(A)
+
+    def __post_init__(self):
+        object.__setattr__(self, "Ainv", np.linalg.inv(self.A))
+
+    def _phase(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """2 pi (x freqs^T + phases) of the rows' fields, before the sine."""
+        phase = np.matmul(X[:, None, :], np.swapaxes(self.freqs[rows], 1, 2))[:, 0, :] + self.phases[rows]
+        return 2 * math.pi * phase
 
     def raw(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Generator rows[j] at the point X[j], shape (len(rows), n)."""
-        X = np.asarray(X, dtype=float)[:, None, :]
-        y = np.matmul(X, np.swapaxes(self.A[rows], 1, 2))[:, 0, :] + self.b[rows] + self.c[rows]
+        X = np.asarray(X, dtype=float)
+        y = np.matmul(X[:, None, :], np.swapaxes(self.A[rows], 1, 2))[:, 0, :] + self.b[rows] + self.c[rows]
         if self.freqs is None:
             return y
-        phase = np.matmul(X, np.swapaxes(self.freqs[rows], 1, 2))[:, 0, :] + self.phases[rows]
-        return y + self.amps[rows] * np.sin(2 * math.pi * phase)
+        return y + self.amps[rows] * np.sin(self._phase(X, rows))
+
+    def jac(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Jacobian of generator rows[j] at X[j], shape (len(rows), n, n)."""
+        J = self.A[rows]
+        if self.freqs is None:
+            return J
+        X = np.asarray(X, dtype=float)
+        wave = self.amps[rows] * np.cos(self._phase(X, rows))
+        return J + wave[..., :, None] * (2 * math.pi * self.freqs[rows])
+
+    def invert(self, Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Preimage of Y[j] under generator rows[j], shape (len(rows), n):
+        phi's inverse ((y - c) - b) A^-1^T and, once perturbed, the
+        perturbed inverse's per-row Newton steps (perturb.newton_rows) from
+        it. NoConvergence names the bank row."""
+        Y = np.asarray(Y, dtype=float)
+        X = np.matmul(((Y - self.c[rows]) - self.b[rows])[:, None, :], np.swapaxes(self.Ainv[rows], 1, 2))[:, 0, :]
+        if self.freqs is None:
+            return X
+        return newton_rows(
+            lambda X, live: self.raw(X, rows[live]), lambda X, live: self.jac(X, rows[live]),
+            Y, X, lambda i: f"bank row {rows[i]}^-1",
+        )
+
+    def enclosure(self, source: Box) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (k, n): a box holding each row's image of the
+        source box, A center + b + c -+ (|A| half-widths + |amps|). It holds
+        for any A and uses no declared lam or lip; rounding is the caller's
+        to widen for."""
+        center, half = source.center, (source.hi - source.lo) / 2.0
+        mid = np.matmul(center, np.swapaxes(self.A, 1, 2)) + self.b + self.c
+        rad = np.matmul(half, np.swapaxes(np.abs(self.A), 1, 2))
+        if self.amps is not None:
+            rad = rad + np.abs(self.amps)
+        return mid - rad, mid + rad
 
 
 @dataclass

@@ -25,20 +25,43 @@ _INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
 def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
     """Parameters (freqs, phases, amps) of a smooth field
     B(x) = amps * sin(2 pi (x freqs^T + phases)) with sup|B| <= eta and
-    sup|DB| <= eta componentwise."""
-    dim = space.dim
-    extents = space.extents()
-    freqs = np.zeros((dim, dim))
-    phases = rng.uniform(0.0, 1.0, dim)
-    amps = np.empty(dim)
-    for i in range(dim):
-        k = np.zeros(dim)
-        for j, f in enumerate(space.factors):
-            base = 1.0 / extents[j]
-            k[j] = base * int(rng.integers(1, 3)) * (1 if isinstance(f, Circle) else 0.5)
-        freqs[i] = k
-        amps[i] = min(1.0, 1.0 / (2 * pi * np.abs(k).sum()))
+    sup|DB| <= eta componentwise. The n x n frequency integers are one draw,
+    after the phases, in the row-major order of n^2 scalar draws."""
+    phases = rng.uniform(0.0, 1.0, space.dim)
+    ints = rng.integers(1, 3, size=(space.dim, space.dim))
+    scale = np.array([1.0 if isinstance(f, Circle) else 0.5 for f in space.factors])
+    freqs = 1.0 / space.extents() * ints * scale
+    amps = np.minimum(1.0, 1.0 / (2 * pi * np.abs(freqs).sum(axis=1)))
     return freqs, phases, amps * eta
+
+
+def newton_rows(raw, jac, y, x, label) -> np.ndarray:
+    """Solve raw(x, rows) = y row by row by Newton steps from the warm start x.
+
+    raw(X, rows) and jac(X, rows) evaluate the maps of the given rows and
+    their Jacobians, one point each, as in fixed_points.contract_rows. Row i
+    stops after the step at which its own residual |raw(x_i) - y_i| falls
+    below 1e-13, so its bits do not depend on the other rows of the batch.
+    After _INVERSE_STEPS steps every row still moving must verify below
+    1e-13; NoConvergence names the first that does not, by label(i).
+    """
+    x = np.array(x, dtype=float)
+    live = np.arange(len(y))
+    for _ in range(_INVERSE_STEPS):
+        if not len(live):
+            return x
+        r = raw(x[live], live) - y[live]
+        J = jac(x[live], live)
+        x[live] = x[live] - np.linalg.solve(J, r[..., None])[..., 0]
+        live = live[~(np.abs(r).max(axis=-1) < 1e-13)]
+    if len(live):
+        r = np.abs(raw(x[live], live) - y[live]).max(axis=-1)
+        bad = np.flatnonzero(~(r < 1e-13))
+        if len(bad):
+            raise NoConvergence(
+                f"{label(live[bad[0]])}: Newton left residual {r[bad[0]]:.2e} after {_INVERSE_STEPS} steps"
+            )
+    return x
 
 
 def _shear_pair(space: StateSpace, eta: float, rng: np.random.Generator):
@@ -160,23 +183,14 @@ def _perturb(G: SmoothMap, eta: float, seed: int):
         base_inv = G.inverse
 
         def fn_inv(y):
-            # warm-started Newton: the unperturbed inverse is eta-close. The
-            # whole batch steps until its worst residual is below 1e-13, so a
-            # row's bits depend on its batch; the last iterate must verify.
+            # newton_rows from the unperturbed inverse, which is eta-close
             y = np.asarray(y, dtype=float)
-            x = base_inv.fn(y)
-            for _ in range(_INVERSE_STEPS):
-                r = fn(x) - y
-                J = jac(x)
-                x = x - np.linalg.solve(J, r[..., None])[..., 0]
-                if np.max(np.abs(r)) < 1e-13:
-                    return x
-            r = float(np.max(np.abs(fn(x) - y)))
-            if not r < 1e-13:
-                raise NoConvergence(
-                    f"{G.name}~{eta}^-1: Newton left residual {r:.2e} after {_INVERSE_STEPS} steps"
-                )
-            return x
+            Y = y.reshape(-1, y.shape[-1])
+            X = newton_rows(
+                lambda X, rows: fn(X), lambda X, rows: jac(X), Y, base_inv.fn(Y),
+                lambda i: f"{G.name}~{eta}^-1",
+            )
+            return X.reshape(y.shape)
 
         out.inverse = SmoothMap(
             domain=G.codomain,

@@ -237,7 +237,7 @@ def test_positive_slack_means_the_box_pulls_back(form, centers, rx, ry, relative
     lo, hi = lo[inside], hi[inside]
     if len(lo) == 0:
         return
-    slack = _slack(gen, square, lo, hi, square if relative else None)
+    slack = _slack(IFS([gen], square), np.zeros(len(lo), int), square, lo, hi, square if relative else None)
     t = np.linspace(0.0, 1.0, 9)
     grid = np.stack(np.meshgrid(t, t, indexing="ij"), -1).reshape(-1, 2)
     unit = np.concatenate([grid, np.random.default_rng(seed).random((40, 2))])
@@ -264,9 +264,10 @@ def test_slack_matches_a_per_cell_reference(form):
         clear = float(np.min(square.clearance(gen.invert(pts))))
         gap = 0.0 if gen.affine is not None else float(np.max(b - a)) / 4.0 / gen.lam
         expected.append(clear - gap)
-    got = _slack(gen, square, lo, hi, None)
+    one = IFS([gen], square)
+    got = _slack(one, np.zeros(len(lo), int), square, lo, hi, None)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
-    points = _slack(gen, square, centers, centers, None)
+    points = _slack(one, np.zeros(len(centers), int), square, centers, centers, None)
     np.testing.assert_allclose(points, square.clearance(gen.invert(centers)), rtol=0.0, atol=1e-12)
 
 
@@ -566,6 +567,28 @@ def test_bank_rows_equal_their_generators(n, lam, offset, seed, eta):
         assert got[j].tobytes() == ifs.generators[i].fn(X[j]).tobytes()
 
 
+@settings(max_examples=12)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lam=st.sampled_from([0.3, 0.5, 0.7]),
+    eta=st.sampled_from([0.0, 0.01, 0.05]),
+    seed=st.integers(0, 2**20),
+)
+def test_bank_enclosure_holds_every_image(n, lam, eta, seed):
+    ifs = perturb_ifs(_translated_family(n, lam, 3e-10), eta * lam, seed=seed)
+    source = ifs.domain_region
+    lo, hi = ifs.bank.enclosure(source)
+    rng = np.random.default_rng(seed)
+    corners = np.indices((2,) * n).reshape(n, -1).T
+    X = np.concatenate([source.lo + corners * source.sides, source.sample(rng, 200)])
+    rows = rng.integers(0, ifs.k, 16)
+    for i in rows:
+        Y = ifs.bank.raw(X, np.full(len(X), i))
+        assert np.all((Y >= lo[i] - 1e-15) & (Y <= hi[i] + 1e-15)), i
+        if eta == 0.0:  # the affine image's corners reach the box
+            np.testing.assert_allclose([Y.min(axis=0), Y.max(axis=0)], [lo[i], hi[i]], rtol=0, atol=1e-15)
+
+
 def test_stalling_row_names_its_generator():
     line = StateSpace((Interval(-1, 1),))
     # "slow" and "slower" declare lip 0.5 but contract by 0.9999 and
@@ -604,3 +627,142 @@ def test_non_affine_base_keeps_the_scalar_path():
     pert = perturb_ifs(ifs, 0.02, seed=3)
     assert pert.bank is None
     _assert_records_match_reference(pert, range(0, pert.k, 5))
+
+
+# ---------------------------------------------------------------------------
+# covering waves against the sequential loop
+# ---------------------------------------------------------------------------
+
+def _sequential_covering(ifs, region, grid_step, image_region=None):
+    """Reference: the loop the waves replace. Each generator in turn takes
+    every cell still unassigned, pulled back through its own invert; a
+    second pass admits tight covers of affine generators. Returns the
+    assignment and the margins."""
+    src = image_region if image_region is not None else region
+    plain = IFS(ifs.generators, ifs.domain_region)  # no bank: one generator per _slack
+    steps = region.grid_axes(grid_step)[1]
+    centers = region.grid(grid_step)
+    lo, hi = centers - steps / 2.0, centers + steps / 2.0
+    assignment = np.full(len(centers), -1, dtype=int)
+    margins = np.full(len(centers), -np.inf)
+    for tight in (False, True):
+        for gi, gen in enumerate(ifs.generators):
+            todo = np.nonzero(assignment < 0)[0]
+            if len(todo) == 0:
+                break
+            if tight and gen.affine is None:
+                continue
+            slack = _slack(plain, np.full(len(todo), gi), src, lo[todo], hi[todo], region)
+            hit = slack >= -1e-12 if tight else slack > 1e-12
+            assignment[todo[hit]] = gi
+            margins[todo[hit]] = np.maximum(slack[hit], 0.0) if tight else slack[hit]
+    return assignment, margins
+
+
+def _sequential_d(ifs, region, grid_step, image_region=None):
+    """Reference: compute_d's loop over generators, every grid point each."""
+    src = image_region if image_region is not None else region
+    plain = IFS(ifs.generators, ifs.domain_region)
+    pts = region.grid(grid_step)
+    bind = region if image_region is None else None
+    best = np.zeros(len(pts))
+    for gi, gen in enumerate(ifs.generators):
+        rho = np.maximum(_slack(plain, np.full(len(pts), gi), src, pts, pts, bind), 0.0)
+        A = None if gen.affine is None else gen.affine[0]
+        if A is None or not (np.array_equal(A, np.diag(np.diag(A))) and np.all(np.diag(A) > 0)):
+            lam = gen.lam
+            if gen.affine is not None:
+                lam = 1.0 / float(np.abs(np.linalg.inv(gen.affine[0])).sum(axis=1).max())
+            rho = lam * rho
+        best = np.maximum(best, rho)
+    return float(best.min()) - grid_step / 2.0
+
+
+def _tiling_bank(dim, count):
+    """x -> x / count + c on [0, 1]^dim, one generator per cell of a
+    count^dim grid, as a bank: the images of [0, 1]^dim tile it with shared
+    edges, which only the tight pass certifies."""
+    space = unit_interval_space(dim)
+    a = 1.0 / count
+    shifts = np.stack(np.meshgrid(*[np.arange(count) * a] * dim, indexing="ij"), -1).reshape(-1, dim)
+    gens = [affine_map(space, a * np.eye(dim), c, name=f"t{i}") for i, c in enumerate(shifts)]
+    k = len(gens)
+    bank = GeneratorBank(A=np.broadcast_to(a * np.eye(dim), (k, dim, dim)), b=np.zeros((k, dim)), c=shifts)
+    return IFS(gens, Box(space, np.zeros(dim), np.ones(dim)), bank=bank)
+
+
+def _unperturbed_cases():
+    line = unit_interval_space(1)
+    dyadic = IFS([affine_map(line, [[0.5]], [c]) for c in (0.0, 0.5)], Box(line, [0.0], [1.0]))
+    triple = IFS([affine_map(line, [[0.5]], [c]) for c in (0.0, 0.25, 0.5)], Box(line, [0.0], [1.0]))
+    sheared = sheared_ifs()
+    inner = Box(sheared.space, [0.3, 0.3], [0.7, 0.7])
+    cases = {
+        "dyadic-tight": (dyadic, dyadic.domain_region, 1 / 16, None),
+        "triple": (triple, triple.domain_region, 1 / 32, None),
+        "sheared-image-region": (sheared, inner, 1 / 16, sheared.domain_region),
+        "tiling-bank-1": (_tiling_bank(1, 3), None, 1 / 12, None),
+        "tiling-bank-2": (_tiling_bank(2, 3), None, 1 / 12, None),
+    }
+    for n, lam in ((1, 0.3), (2, 0.5), (3, 0.7)):
+        ifs = _translated_family(n, lam, 3e-10)
+        eps = 0.9 * (1 - lam) / (1 + lam)
+        cases[f"bank-{n}-{lam}"] = (ifs, ifs.domain_region, eps * lam / 2, None)
+        small = Box(ifs.space, ifs.domain_region.lo / 2, ifs.domain_region.hi / 2)
+        cases[f"bank-{n}-{lam}-image-region"] = (ifs, small, eps * lam / 4, ifs.domain_region)
+    return cases
+
+
+UNPERTURBED = _unperturbed_cases()
+
+
+@pytest.mark.parametrize("name", sorted(UNPERTURBED))
+def test_waves_match_the_sequential_loop_on_unperturbed_families(name):
+    ifs, region, step, image_region = UNPERTURBED[name]
+    region = region or ifs.domain_region
+    cert = verify_covering(ifs, region, step, image_region=image_region)
+    assignment, margins = _sequential_covering(ifs, region, step, image_region)
+    assert cert.assignment.tobytes() == assignment.tobytes()
+    assert cert.margins.tobytes() == margins.tobytes()
+    if name.startswith(("dyadic", "tiling")):
+        assert cert.margin == 0.0  # tight covers decide the cells on the shared edges
+        return
+    d_step = step / 2
+    d = compute_d(ifs, region, d_step, cert, image_region=image_region)
+    assert d == _sequential_d(ifs, region, d_step, image_region)
+
+
+@settings(max_examples=8)
+@given(dim=st.sampled_from([1, 2]), count=st.integers(2, 7), refine=st.sampled_from([1, 3, 4]))
+def test_waves_keep_tight_bank_covers(dim, count, refine):
+    # cell edges fall on the images' shared edges up to rounding, so the
+    # enclosures must be widened for the tight pass to see every cover
+    ifs = _tiling_bank(dim, count)
+    step = 1.0 / (count * refine)
+    cert = verify_covering(ifs, ifs.domain_region, step)
+    assignment, margins = _sequential_covering(ifs, ifs.domain_region, step)
+    assert cert.assignment.tobytes() == assignment.tobytes()
+    assert cert.margins.tobytes() == margins.tobytes()
+
+
+@settings(max_examples=12)
+@given(
+    n=st.sampled_from([1, 2]),
+    lam=st.sampled_from([0.3, 0.5, 0.7]),
+    eta=st.sampled_from([0.01, 0.05]),
+    seed=st.integers(0, 2**20),
+)
+def test_waves_match_the_sequential_loop_on_perturbed_families(n, lam, eta, seed):
+    # the stacked inverse stops each row on its own residual, so margins
+    # move by ulps against the per-generator batches; assignments do not.
+    # The line's grid is 4 times finer: its sample gap term is below the
+    # field's size, so cells in an image's bulge past the unperturbed image
+    # are accepted
+    ifs = perturb_ifs(_translated_family(n, lam, 0.0), eta * lam, seed=seed)
+    step = 0.9 * (1 - lam) / (1 + lam) * lam / 2 / (4 if n == 1 else 1)
+    cert = verify_covering(ifs, ifs.domain_region, step)
+    assignment, margins = _sequential_covering(ifs, ifs.domain_region, step)
+    assert np.array_equal(cert.assignment, assignment)
+    np.testing.assert_allclose(cert.margins, margins, rtol=0.0, atol=1e-15)
+    d = compute_d(ifs, ifs.domain_region, step, cert)
+    assert d == pytest.approx(_sequential_d(ifs, ifs.domain_region, step), abs=1e-15)

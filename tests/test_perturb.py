@@ -1,10 +1,16 @@
+from math import pi
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynlab.covering import construct_translations
 from dynlab.errors import NoConvergence
+from dynlab.ifs import GeneratorBank
 from dynlab.maps import affine_map, check_symplectic, jacobian
-from dynlab.perturb import perturb_ifs, perturb_map, robustness_sweep
-from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
+from dynlab.perturb import _trig_field, perturb_ifs, perturb_map, robustness_sweep
+from dynlab.spaces import Box, Circle, Interval, StateSpace, unit_interval_space
 from dynlab.twist import twist_map
 
 
@@ -107,3 +113,104 @@ def test_robustness_sweep_rows():
     assert [r["eta"] for r in rows] == [0.0, 0.01]
     assert all(r["pass_rate"] == 1.0 for r in rows)
     assert len(calls) == 6
+
+
+# ---------------------------------------------------------------------------
+# the trig field's draws and the per-row Newton inverse
+# ---------------------------------------------------------------------------
+
+def _scalar_trig_field(space, eta, rng):
+    """Reference: the field drawn with n^2 scalar integer draws."""
+    dim = space.dim
+    extents = space.extents()
+    freqs = np.zeros((dim, dim))
+    phases = rng.uniform(0.0, 1.0, dim)
+    amps = np.empty(dim)
+    for i in range(dim):
+        k = np.zeros(dim)
+        for j, f in enumerate(space.factors):
+            base = 1.0 / extents[j]
+            k[j] = base * int(rng.integers(1, 3)) * (1 if isinstance(f, Circle) else 0.5)
+        freqs[i] = k
+        amps[i] = min(1.0, 1.0 / (2 * pi * np.abs(k).sum()))
+    return freqs, phases, amps * eta
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (Interval(-1, 1),),
+        (Circle(1.0),),
+        (Interval(0, 3), Circle(2.0)),
+        (Circle(1.0), Interval(-1, 1), Interval(0, 0.5)),
+    ],
+)
+def test_trig_field_draws_match_the_scalar_loop(factors):
+    space = StateSpace(factors)
+    for seed in range(50):
+        got = _trig_field(space, 0.03, np.random.default_rng(seed))
+        ref = _scalar_trig_field(space, 0.03, np.random.default_rng(seed))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), seed
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**16),
+    fast=st.floats(0.15, 0.35),
+    slow=st.floats(0.45, 0.55),
+)
+def test_a_row_inverts_alone_as_in_a_batch_with_a_slow_row(seed, fast, slow):
+    line = unit_interval_space(1)
+    g = affine_map(line, [[0.5]], [0.1])
+    # points above 0.4 start 0.2 from their preimage and take more steps
+    start = g.inverse.fn
+    late = g.with_meta(inverse=g.inverse.with_meta(fn=lambda y: start(y) + 0.2 * (y > 0.4)))
+    gp = perturb_map(late, 0.02, seed=seed)
+    alone = gp.invert(np.array([fast]))
+    batch = gp.invert(np.array([[fast], [slow]]))
+    assert batch[0].tobytes() == alone.tobytes()
+    assert np.max(np.abs(gp.fn(batch) - [[fast], [slow]])) < 1e-13
+
+
+@settings(max_examples=12)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lam=st.sampled_from([0.3, 0.5, 0.7]),
+    eta=st.sampled_from([0.01, 0.05]),
+    seed=st.integers(0, 2**20),
+)
+def test_bank_inverse_rows_equal_their_generators(n, lam, eta, seed):
+    space = StateSpace(tuple(Interval(-1, 1) for _ in range(n)))
+    phi = affine_map(space, lam * np.eye(n), np.zeros(n), name="phi")
+    family = construct_translations(phi, lam, 0.9 * (1 - lam) / (1 + lam))
+    ifs = perturb_ifs(family, eta * lam, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([[0], rng.integers(0, ifs.k, 47)])  # phi's own row first
+    region = ifs.domain_region
+    Y = ifs.bank.raw(region.sample(rng, len(rows)), rows)
+    got = ifs.bank.invert(Y, rows)
+    for j, i in enumerate(rows):
+        assert got[j].tobytes() == ifs.generators[i].invert(Y[j]).tobytes(), (j, i)
+    # the unperturbed rows are phi's affine inverse, bit for bit too
+    plain = family.bank.invert(Y, rows)
+    for j, i in enumerate(rows):
+        assert plain[j].tobytes() == family.generators[i].invert(Y[j]).tobytes(), (j, i)
+
+
+def test_stacked_inverse_names_the_first_stalled_row():
+    # rows 1 and 3 carry a field of size 1e6 and start near x = 99.7, whose
+    # phase 2 pi x rounds by about 1e-13: the field's rounding alone keeps
+    # their residual far above 1e-13 within Newton's reach of the start.
+    # Rows 0 and 2 are x / 2 + c, inverted exactly by the warm start
+    bank = GeneratorBank(
+        A=np.full((4, 1, 1), 0.5), b=np.zeros((4, 1)), c=np.array([[0.0], [-49.5], [0.2], [-49.5]]),
+        freqs=np.ones((4, 1, 1)), phases=np.zeros((4, 1)), amps=np.array([[0.0], [1e6], [0.0], [1e6]]),
+    )
+    Y = np.full((3, 1), 0.37)
+    with pytest.raises(NoConvergence, match=r"^bank row 3\^-1: Newton left residual"):
+        bank.invert(Y, np.array([3, 1, 0]))
+    with pytest.raises(NoConvergence, match=r"^bank row 1\^-1: Newton left residual"):
+        bank.invert(Y, np.array([0, 1, 3]))
+    calm = np.array([0, 2])
+    x = bank.invert(Y[:2], calm)
+    assert np.max(np.abs(bank.raw(x, calm) - Y[:2])) < 1e-13
