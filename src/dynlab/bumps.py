@@ -19,6 +19,8 @@ from .integrate import implicit_midpoint, implicit_midpoint_with_jacobian
 from .maps import SmoothMap
 from .spaces import Box
 
+_COLLAR_STEPS = 128  # implicit-midpoint steps of a bump translation's collar flow
+
 
 def smoothstep7(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
@@ -131,7 +133,6 @@ def hamiltonian_bump_translation(
     v_vec,
     U: Box,
     U_tilde: Box,
-    steps: int = 128,
     time_scale: float = 1.0,
 ) -> SmoothMap:
     """Symplectic map translating U by (u, v), identity outside U_tilde.
@@ -139,7 +140,8 @@ def hamiltonian_bump_translation(
     Coordinates pair as (a_1, b_1, a_2, b_2, ...); the displacement applies
     u to the a's and v to the b's, scaled by time_scale. The cutoff core
     covers the swept hull of U so the translation is exact there; the collar
-    is the numerically integrated Hamiltonian flow.
+    is the Hamiltonian flow, integrated by _COLLAR_STEPS implicit-midpoint
+    steps.
     """
     space = U.space
     n = space.dim // 2
@@ -209,7 +211,7 @@ def hamiltonian_bump_translation(
         out = pts.copy()
         out[inside] = moved[inside]
         if np.any(collar):
-            out[collar] = implicit_midpoint(field, pts[collar], float(sign), steps)
+            out[collar] = implicit_midpoint(field, pts[collar], float(sign), _COLLAR_STEPS)
         return out.reshape(x.shape)
 
     def jac(x):
@@ -217,7 +219,7 @@ def hamiltonian_bump_translation(
         pts, _, _, collar = pieces(x, 1)
         J = np.broadcast_to(np.eye(space.dim), pts.shape + (space.dim,)).copy()
         if np.any(collar):
-            J[collar] = implicit_midpoint_with_jacobian(field, dfield, pts[collar], 1.0, steps)[1]
+            J[collar] = implicit_midpoint_with_jacobian(field, dfield, pts[collar], 1.0, _COLLAR_STEPS)[1]
         return J.reshape(x.shape + (space.dim,))
 
     name = f"bump-translate({np.round(delta, 6)})"

@@ -31,10 +31,9 @@ INSIDE_TOL = 1e-12
 def cover_unit_ball(n: int, r: float) -> np.ndarray:
     """Centers of radius-r max-metric balls covering the closed unit ball.
 
-    Grid construction followed by a greedy drop pass: a center is removed
-    when corner and center probes stay covered without it. For the max
-    metric the per-axis count ceil(1/r) is already minimal, so the drop
-    pass is a verification rather than an optimization.
+    A grid of m = ceil(1/r) centers per axis, the minimal count for the max
+    metric: no center can be dropped, as grid neighbours lie 2/m > r apart
+    whenever m > 1. The centers and cell corners are checked to be covered.
     """
     if not 0 < r:
         raise ValueError("cover radius must be positive")
@@ -49,24 +48,6 @@ def cover_unit_ball(n: int, r: float) -> np.ndarray:
     probes = np.concatenate(
         [centers, np.stack([g.ravel() for g in mesh], axis=-1)], axis=0
     )
-
-    if len(centers) > 1:
-        tree = cKDTree(centers)
-        second, _ = tree.query(centers, k=2, p=np.inf)
-        if np.min(second[:, 1]) > r + INSIDE_TOL:
-            pass  # every center privately covers its own point: nothing droppable
-        else:
-            keep = np.ones(len(centers), dtype=bool)
-            for i in range(len(centers)):
-                keep[i] = False
-                others = centers[keep]
-                if len(others) == 0:
-                    keep[i] = True
-                    continue
-                dmax, _ = cKDTree(others).query(probes, k=1, p=np.inf)
-                if np.max(dmax) > r + INSIDE_TOL:
-                    keep[i] = True
-            centers = centers[keep]
 
     # final verification: probes all covered
     tree = cKDTree(centers)
@@ -143,10 +124,18 @@ def _slack(
     return clear - half_gap / np.array(lams)[at]
 
 
+def _stacked(ifs: IFS) -> GeneratorBank | None:
+    """The IFS's bank when it can pull back rows of mixed generators in one
+    call (its phi has an inverse), else None."""
+    bank = ifs.bank
+    return bank if bank is not None and bank.phi.inverse is not None else None
+
+
 def _pull_back(ifs: IFS, gi: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """generators[gi[j]].invert(pts[j]), with the checks of maps.evaluate:
-    one bank.invert call with a bank, else the one generator's invert."""
-    if ifs.bank is None:
+    one bank.invert call with a stacked bank, else the one generator's
+    invert."""
+    if _stacked(ifs) is None:
         return ifs.generators[gi[0]].invert(pts)
     space = ifs.space
     pts = space.canonicalize(pts)
@@ -160,7 +149,8 @@ def _candidates(
     """(generator, box) index pairs that may hold box j inside generator i's
     image of the source, generator-major with boxes ascending.
 
-    Without a bank, every pair. With one, the rows whose enclosure of the
+    Every pair, unless the IFS has a stacked bank with an enclosure (an
+    affine phi, A its linear part). Then the rows whose enclosure of the
     source holds the box once widened by INSIDE_TOL (1 + ||A||_inf); an
     enclosure side that reaches bind does not bind, as in _slack. A box
     with slack above -INSIDE_TOL sticks out of the image by at most
@@ -169,13 +159,15 @@ def _candidates(
     _slack could accept is left out.
     """
     k, m = ifs.k, len(lo)
-    if ifs.bank is None:
+    bank = _stacked(ifs)
+    enclosure = None if bank is None else bank.enclosure(source)
+    if enclosure is None:
         return np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
-    e_lo, e_hi = ifs.bank.enclosure(source)
+    e_lo, e_hi = enclosure
     if bind is not None:
         e_lo = np.where(e_lo > bind.lo + INSIDE_TOL, e_lo, -np.inf)
         e_hi = np.where(e_hi < bind.hi - INSIDE_TOL, e_hi, np.inf)
-    widen = INSIDE_TOL * (1.0 + np.abs(ifs.bank.A).sum(axis=2).max(axis=1))[:, None]
+    widen = INSIDE_TOL * (1.0 + np.abs(bank.phi.affine[0]).sum(axis=1).max())
     e_lo, e_hi = e_lo - widen, e_hi + widen
     lo_t, hi_t = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
     gi, box = [], []
@@ -313,9 +305,9 @@ def compute_d(
     bind = region if image_region is None else None
     best = np.zeros(len(pts))
     # a point outside a generator's candidates has rho = 0; one _slack call
-    # takes a bank's pairs, one per generator otherwise
+    # takes a stacked bank's pairs, one per generator otherwise
     gi, box = _candidates(ifs, src_region, pts, pts, bind)
-    cuts = np.flatnonzero(np.diff(gi)) + 1 if ifs.bank is None else []
+    cuts = np.flatnonzero(np.diff(gi)) + 1 if _stacked(ifs) is None else []
     for part in np.split(np.arange(len(gi)), cuts):
         if not len(part):
             continue
@@ -323,11 +315,9 @@ def compute_d(
         rho = np.maximum(_slack(ifs, g, src_region, pts[p], pts[p], bind), 0.0)
         if _diag_image_boxes([ifs.generators[g[0]]], src_region) is None:
             # inverse-Lipschitz bound: B_rho(x) sits inside gen(src_region)
-            # whenever rho <= lam * clearance of the pulled-back point, with
-            # lam the max-metric bound; for affine maps 1/||A^-1||_inf, as the
-            # declared lam comes from (Euclidean) singular values
+            # whenever rho <= lam * clearance of the pulled-back point
             use, at = np.unique(g, return_inverse=True)
-            rho = np.array([_inverse_lipschitz(ifs.generators[i]) for i in use])[at] * rho
+            rho = np.array([ifs.generators[i].lam for i in use])[at] * rho
         np.maximum.at(best, p, rho)
 
     d = float(best.min()) - grid_step / 2.0
@@ -337,30 +327,22 @@ def compute_d(
     return d
 
 
-def _inverse_lipschitz(gen: SmoothMap) -> float:
-    """Max-metric lower contraction bound of a generator (see compute_d)."""
-    if gen.affine is not None:
-        return 1.0 / float(np.abs(np.linalg.inv(gen.affine[0])).sum(axis=1).max())
-    return gen.lam
-
-
 def verify_well_distributed(
     ifs: IFS,
     region: Box,
     d: float,
-    refine: float = 8.0,
 ) -> tuple[bool, np.ndarray | None]:
     """Every ball of diameter d centered at a grid point of the region must
     contain a generator fixed point. Returns (flag, witness center or None).
 
-    The grid is refined to d/refine. The ball diameter is d as stated, i.e.
+    The grid has step d/8. The ball diameter is d as stated, i.e.
     radius d/2 (not radius d; the two readings differ by a factor of two and
     this implementation takes the stricter one).
     """
     fps = ifs.fixed_point_array()
     if len(fps) == 0:
         return False, region.center
-    centers = region.grid(d / refine)
+    centers = region.grid(d / 8.0)
     tree = cKDTree(fps)
     dist, _ = tree.query(centers, k=1, p=np.inf)
     bad = dist >= d / 2.0
@@ -372,37 +354,6 @@ def verify_well_distributed(
 # ---------------------------------------------------------------------------
 # translated-contraction construction
 # ---------------------------------------------------------------------------
-
-def translate_map(phi: SmoothMap, c: np.ndarray, name: str) -> SmoothMap:
-    """phi + c, inheriting bounds; inverse is y -> phi^-1(y - c)."""
-    c = np.asarray(c, dtype=float)
-    out = SmoothMap(
-        domain=phi.domain,
-        codomain=phi.codomain,
-        fn=lambda x: phi.fn(x) + c,
-        jac=phi.jac,
-        name=name,
-        lam=phi.lam,
-        lip=phi.lip,
-        affine=None if phi.affine is None else (phi.affine[0], phi.affine[1] + c),
-    )
-    if phi.inverse is not None:
-        base_inv = phi.inverse
-        out.inverse = SmoothMap(
-            domain=phi.codomain,
-            codomain=phi.domain,
-            fn=lambda y: base_inv.fn(y - c),
-            jac=base_inv.jac,
-            name=name + "^-1",
-            lam=base_inv.lam,
-            lip=base_inv.lip,
-            affine=None
-            if base_inv.affine is None
-            else (base_inv.affine[0], base_inv.affine[1] - base_inv.affine[0] @ c),
-            inverse=out,
-        )
-    return out
-
 
 def construct_translations(phi: SmoothMap, lam: float, eps: float) -> IFS:
     """Translated copies of a contraction fixing 0, certified on B_eps(0).
@@ -435,19 +386,8 @@ def construct_translations(phi: SmoothMap, lam: float, eps: float) -> IFS:
     # fixed point of phi + c is exactly z for c = z - phi(z)
     shifts = np.concatenate([centers, [z - phi(z) for z in centers]])
     names = [f"{phi.name}+c{i}" for i in range(k1)] + [f"{phi.name}+z{i}" for i in range(k1)]
-    gens = [phi] + [translate_map(phi, c, name=nm) for c, nm in zip(shifts, names)]
-
-    region = Box.ball(space, origin, eps)
-    bank = None
-    if phi.affine is not None:
-        A, b = phi.affine
-        k = len(gens)
-        bank = GeneratorBank(
-            A=np.broadcast_to(A, (k, n, n)),
-            b=np.broadcast_to(b, (k, n)),
-            c=np.concatenate([np.full((1, n), -0.0), shifts]),
-        )
-    out = IFS(generators=gens, domain_region=region, bank=bank)
+    bank = GeneratorBank(phi, np.concatenate([np.full((1, n), -0.0), shifts]), (phi.name, *names))
+    out = IFS(generators=bank.views(), domain_region=Box.ball(space, origin, eps), bank=bank)
     out.info = {"k1": k1, "eps": eps, "lam": lam, "grid": centers}
     return out
 

@@ -29,8 +29,8 @@ def _dyadic_ifs():
     return IFS([g0, g1], Box(line, [0.0], [1.0]))
 
 
-def _triple_ifs(wide: bool = False):
-    space = StateSpace((Interval(-4.0, 5.0),)) if wide else unit_interval_space(1)
+def _triple_ifs():
+    space = unit_interval_space(1)
     gens = [
         affine_map(space, [[0.5]], [c], name=f"half+{c}") for c in (0.0, 0.25, 0.5)
     ]
@@ -53,7 +53,7 @@ def _symplectic_model():
     )
 
 
-def _desk_For_mu(mu: float, zeta: float = 20.0):
+def _desk_For_mu(mu: float):
     l = 3
     base = HorseshoeBase.build(2 * l + 5, mu_ss=0.02)
     sched = fmu_mod.BlockSchedule(base, l=l)
@@ -64,7 +64,7 @@ def _desk_For_mu(mu: float, zeta: float = 20.0):
         fmu_mod.shear_family(t2, 2.6, 0.57, "pack2"),
     ]
     ball = Box.ball(t2, [0.5, 0.5], 0.10)
-    return fmu_mod.build_F_mu(base, f2, sched, mu, pack, blender_ball=ball, zeta=zeta)
+    return fmu_mod.build_F_mu(base, f2, sched, mu, pack, blender_ball=ball, zeta=20.0)
 
 
 # ---------------------------------------------------------------------------

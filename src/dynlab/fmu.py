@@ -24,6 +24,7 @@ from .horseshoe import HorseshoeBase
 from .ifs import _explore, _root
 from .maps import SmoothMap, compose
 from .spaces import Box, StateSpace
+from .twist import conjugating_shear
 
 
 def weak_hyperbolicity_budget(delta: float, k: int) -> None:
@@ -45,26 +46,10 @@ class FlowFamily:
 
 def shear_family(space: StateSpace, amplitude: float, phase: float, name: str = "shear") -> FlowFamily:
     """Closed-form family: time t shifts the first coordinate by
-    t * amplitude * cos(2 pi (theta + phase))."""
-
-    def at(t: float) -> SmoothMap:
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = x.copy()
-            out[..., 0] = x[..., 0] + t * amplitude * np.cos(2 * np.pi * (x[..., 1] + phase))
-            return out
-
-        def fn_inv(x):
-            x = np.asarray(x, dtype=float)
-            out = x.copy()
-            out[..., 0] = x[..., 0] - t * amplitude * np.cos(2 * np.pi * (x[..., 1] + phase))
-            return out
-
-        fwd = SmoothMap(space, space, fn, name=f"{name}@{t}", symplectic=True)
-        fwd.inverse = SmoothMap(space, space, fn_inv, name=f"{name}@{-t}", symplectic=True, inverse=fwd)
-        return fwd
-
-    return FlowFamily(at=at, name=name)
+    t * amplitude * cos(2 pi (theta + phase)), twist.conjugating_shear."""
+    return FlowFamily(
+        at=lambda t: conjugating_shear(t * amplitude, space=space, phase=phase, name=f"{name}@{t}"), name=name
+    )
 
 
 @dataclass(eq=False)
@@ -197,20 +182,17 @@ def build_F_mu(
     schedule: BlockSchedule,
     mu: float,
     minimality_pack: list[FlowFamily] | None = None,
-    blender_directions: np.ndarray | None = None,
     blender_ball: Box | None = None,
-    blender_support: Box | None = None,
     zeta: float = 20.0,
-    minimality_scale: float = 1.0,
 ) -> FMuFamily:
     """Assemble the family member at parameter mu.
 
-    Blender rows 1..l translate the fiber ball along the given unit
-    directions by eps(mu); columns l+1..2l do the mirrored expanding-side
+    Blender rows 1..l translate the fiber ball by eps(mu) along l unit
+    directions spread evenly over the circle, inside the ball padded by
+    twice its sides; columns l+1..2l do the mirrored expanding-side
     translations. The two minimality groups compose the fiber map with the
-    pack flows at time eps(mu) * minimality_scale. All block supports are
-    pairwise disjoint, so each point sees at most one pre and one post
-    action.
+    pack flows at time eps(mu). All block supports are pairwise disjoint,
+    so each point sees at most one pre and one post action.
     """
     l = schedule.l
     fiber_space = f2.domain
@@ -219,13 +201,10 @@ def build_F_mu(
     eps = mu / zeta
 
     if blender_ball is not None and mu > 0:
-        if blender_directions is None:
-            angles = 2 * np.pi * np.arange(l) / max(l, 1)
-            blender_directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        support = blender_support
-        if support is None:
-            pad = 2.0 * (blender_ball.hi - blender_ball.lo)
-            support = Box(fiber_space, blender_ball.lo - pad, blender_ball.hi + pad)
+        angles = 2 * np.pi * np.arange(l) / max(l, 1)
+        blender_directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        pad = 2.0 * (blender_ball.hi - blender_ball.lo)
+        support = Box(fiber_space, blender_ball.lo - pad, blender_ball.hi + pad)
 
         def translation_family(direction):
             def at(t: float) -> SmoothMap:
@@ -250,18 +229,17 @@ def build_F_mu(
     T_fwd = [f2]
     T_bwd = [f2]
     if minimality_pack is not None and mu > 0:
-        t_min = eps * minimality_scale
         for idx, fam in enumerate(minimality_pack[:2]):
             row = 2 * l + 1 + idx
-            full = fam.at(t_min)
+            full = fam.at(eps)
             for j in schedule.forward_codes():
-                post[(row, j)] = (full, schedule.u_ramp(row, j), fam, t_min)
+                post[(row, j)] = (full, schedule.u_ramp(row, j), fam, eps)
             T_fwd.append(compose(full, f2, name=f"T{idx + 2}"))
         for idx, fam in enumerate(minimality_pack[:2]):
             col = 2 * l + 3 + idx
-            neg = fam.at(-t_min)
+            neg = fam.at(-eps)
             for i in schedule.backward_codes():
-                pre[(i, col)] = (neg, schedule.u_ramp(i, col), fam, -t_min)
+                pre[(i, col)] = (neg, schedule.u_ramp(i, col), fam, -eps)
             # the fiber map on these blocks is f2 composed after the pre flow
             T_bwd.append(compose(f2, neg, name=f"T{idx + 2}bwd"))
 
@@ -307,14 +285,15 @@ def word_into(
     return _explore(maps, _root(maps[0].domain, seed, eps), depth, targets=[target])[0]
 
 
-def itinerary_for_word(schedule: BlockSchedule, word: tuple[int, ...], backward: bool = False) -> tuple[int, ...]:
-    """Base symbols realizing a minimality word, padded into the neutral block.
+def itinerary_for_word(schedule: BlockSchedule, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Base symbols realizing a forward minimality word, padded into the
+    neutral block.
 
     The fiber map of step t is selected by the symbols one and two ahead, so
     the codes sit shifted one slot right of the step index, with neutral
     symbols on both ends.
     """
-    codes = schedule.backward_codes() if backward else schedule.forward_codes()
+    codes = schedule.forward_codes()
     return (0,) + tuple(codes[s] for s in word) + (0, 0)
 
 

@@ -182,14 +182,9 @@ class HorseshoeBase:
                 crossing_ok = False
         return {"disjoint": gaps_ok, "full_crossing": crossing_ok}
 
-    def cylinder_block(self, i: int, j: int, inflate: float = 0.0) -> Box:
+    def cylinder_block(self, i: int, j: int) -> Box:
         """Box realization of the cylinder {x_0 = i, x_1 = j}: the part of
-        rectangle i whose image lands in rectangle j, optionally inflated in
-        the u-direction (for the enlarged supports)."""
+        rectangle i whose image lands in rectangle j."""
         lo_u = self.slab_lo[i] + self.slab_lo[j] * self.height
         hi_u = lo_u + self.height * self.height
-        return Box(
-            self.ambient,
-            np.array([0.0, lo_u - inflate]),
-            np.array([1.0, hi_u + inflate]),
-        )
+        return Box(self.ambient, np.array([0.0, lo_u]), np.array([1.0, hi_u]))

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DynlabError, NoMetadata
+from .errors import DynlabError, NoConvergence, NoMetadata
 from .fixed_points import FixedPointRecord, contract_rows, find_fixed_point
 from .maps import SmoothMap
-from .perturb import newton_rows
 from .spaces import Box, StateSpace
 
 Word = tuple[int, ...]
@@ -49,79 +48,180 @@ def apply_word(generators: list[SmoothMap], word: Word, x) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class GeneratorBank:
-    """Stacked parameters of a translated, optionally perturbed family.
+_INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
 
-    Row i is the generator x -> ((x A_i^T + b_i) + c_i) + B_i(x): phi's
-    linear part A_i and offset b_i, the translation c_i (-0.0 on phi's own
-    row, which changes no bit, not even a zero's sign) and, once perturbed,
-    the trig field B_i(x) = amps_i sin(2 pi (x freqs_i^T + phases_i)).
-    ``raw``, ``jac`` and ``invert`` evaluate rows as the generators' own
-    ``fn``, Jacobian and inverse do on a single point, bit for bit: each
-    row's products go through matmul on a (1, n) row, and the sums keep the
-    generators' association. For ``invert`` this holds when phi's inverse is
-    affine_map's y -> (y - b) A^-1^T, with A^-1 = np.linalg.inv(A).
+
+def newton_rows(raw, jac, y, x, label) -> np.ndarray:
+    """Solve raw(x, rows) = y row by row by Newton steps from the warm start x.
+
+    raw(X, rows) and jac(X, rows) evaluate the maps of the given rows and
+    their Jacobians, one point each, as in fixed_points.contract_rows. Row i
+    stops after the step at which its own residual |raw(x_i) - y_i| falls
+    below 1e-13, so its bits do not depend on the other rows of the batch.
+    After _INVERSE_STEPS steps every row still moving must verify below
+    1e-13; NoConvergence names the first that does not, by label(i).
+    """
+    x = np.array(x, dtype=float)
+    live = np.arange(len(y))
+    for _ in range(_INVERSE_STEPS):
+        if not len(live):
+            return x
+        r = raw(x[live], live) - y[live]
+        J = jac(x[live], live)
+        x[live] = x[live] - np.linalg.solve(J, r[..., None])[..., 0]
+        live = live[~(np.abs(r).max(axis=-1) < 1e-13)]
+    if len(live):
+        r = np.abs(raw(x[live], live) - y[live]).max(axis=-1)
+        bad = np.flatnonzero(~(r < 1e-13))
+        if len(bad):
+            raise NoConvergence(
+                f"{label(live[bad[0]])}: Newton left residual {r[bad[0]]:.2e} after {_INVERSE_STEPS} steps"
+            )
+    return x
+
+
+# The kernels of a bank's maps, on points X of shape (..., n) and parameters
+# whose leading axes match X's (rows of a bank) or are absent (one view).
+# A field is (freqs^T, phases, amps, 2 pi freqs), or None before
+# perturbation. Products are matmul on (1, n) rows, so a point's bits do not
+# depend on its batch.
+
+def _phase(X, field) -> np.ndarray:
+    """2 pi (x freqs^T + phases), before the field's sine or cosine."""
+    return 2 * math.pi * ((X[..., None, :] @ field[0])[..., 0, :] + field[1])
+
+
+def _raw(phi: SmoothMap, X, c, field) -> np.ndarray:
+    """(phi(x) + c) + B(x)."""
+    y = phi.fn(X) + c
+    if field is None:
+        return y
+    return y + field[2] * np.sin(_phase(X, field))
+
+
+def _jac(phi: SmoothMap, X, field) -> np.ndarray:
+    """Jacobian of _raw."""
+    J = phi.jacobian(X)
+    if field is None:
+        return J
+    wave = field[2] * np.cos(_phase(X, field))
+    return J + wave[..., :, None] * field[3]
+
+
+def _invert(phi: SmoothMap, Y, c, field, raw, jac, label) -> np.ndarray:
+    """Preimage under _raw: phi's inverse of y - c and, with a field,
+    newton_rows from it on the rows of Y, with raw, jac and label as there."""
+    X = phi.inverse.fn(Y - c)
+    if field is None:
+        return X
+    Y2 = Y.reshape(-1, Y.shape[-1])
+    return newton_rows(raw, jac, Y2, X.reshape(Y2.shape), label).reshape(Y.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorBank:
+    """A translated, optionally perturbed family of one base map phi, and
+    the only implementation of its maps.
+
+    Row i is the generator x -> (phi(x) + c_i) + B_i(x), named names[i]: the
+    translation c_i (-0.0 where the row is phi itself, which changes no
+    bit, not even a zero's sign) and, once perturbed by eta, the trig field
+    B_i(x) = amps_i sin(2 pi (x freqs_i^T + phases_i)). ``views()`` hands
+    out one SmoothMap per row, whose fn, Jacobian and inverse run the
+    kernels above on that row's parameters, so a single point is a batch of
+    one; ``raw``, ``jac`` and ``invert`` run them on rows of the bank. A row
+    of a batch gives the bits of the same point alone wherever phi's fn,
+    Jacobian and inverse do, as affine_map's do.
+
+    Views keep the metadata of a translate of phi: its lam and lip, and its
+    affine part (A, b + c_i) when phi is affine. Perturbed views have no
+    affine part, lam - eta (at least 1e-12) and lip + eta, and their
+    inverses no bounds.
     """
 
-    A: np.ndarray  # (k, n, n)
-    b: np.ndarray  # (k, n)
+    phi: SmoothMap
     c: np.ndarray  # (k, n)
+    names: tuple[str, ...]
+    eta: float = 0.0
     freqs: np.ndarray | None = None  # (k, n, n)
     phases: np.ndarray | None = None  # (k, n)
     amps: np.ndarray | None = None  # (k, n)
-    Ainv: np.ndarray = field(init=False, repr=False)  # (k, n, n), np.linalg.inv(A)
 
-    def __post_init__(self):
-        object.__setattr__(self, "Ainv", np.linalg.inv(self.A))
-
-    def _phase(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """2 pi (x freqs^T + phases) of the rows' fields, before the sine."""
-        phase = np.matmul(X[:, None, :], np.swapaxes(self.freqs[rows], 1, 2))[:, 0, :] + self.phases[rows]
-        return 2 * math.pi * phase
+    def _params(self, rows):
+        """(c, field) of the rows, an index array or a single row."""
+        if self.freqs is None:
+            return self.c[rows], None
+        freqs = self.freqs[rows]
+        return self.c[rows], (np.swapaxes(freqs, -1, -2), self.phases[rows], self.amps[rows], 2 * math.pi * freqs)
 
     def raw(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Generator rows[j] at the point X[j], shape (len(rows), n)."""
-        X = np.asarray(X, dtype=float)
-        y = np.matmul(X[:, None, :], np.swapaxes(self.A[rows], 1, 2))[:, 0, :] + self.b[rows] + self.c[rows]
-        if self.freqs is None:
-            return y
-        return y + self.amps[rows] * np.sin(self._phase(X, rows))
+        return _raw(self.phi, np.asarray(X, dtype=float), *self._params(rows))
 
     def jac(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Jacobian of generator rows[j] at X[j], shape (len(rows), n, n)."""
-        J = self.A[rows]
-        if self.freqs is None:
-            return J
-        X = np.asarray(X, dtype=float)
-        wave = self.amps[rows] * np.cos(self._phase(X, rows))
-        return J + wave[..., :, None] * (2 * math.pi * self.freqs[rows])
+        return _jac(self.phi, np.asarray(X, dtype=float), self._params(rows)[1])
 
     def invert(self, Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Preimage of Y[j] under generator rows[j], shape (len(rows), n):
-        phi's inverse ((y - c) - b) A^-1^T and, once perturbed, the
-        perturbed inverse's per-row Newton steps (perturb.newton_rows) from
-        it. NoConvergence names the bank row."""
-        Y = np.asarray(Y, dtype=float)
-        X = np.matmul(((Y - self.c[rows]) - self.b[rows])[:, None, :], np.swapaxes(self.Ainv[rows], 1, 2))[:, 0, :]
-        if self.freqs is None:
-            return X
-        return newton_rows(
+        """Preimage of Y[j] under generator rows[j], shape (len(rows), n).
+        NoConvergence names the row's inverse."""
+        c, field = self._params(rows)
+        return _invert(
+            self.phi, np.asarray(Y, dtype=float), c, field,
             lambda X, live: self.raw(X, rows[live]), lambda X, live: self.jac(X, rows[live]),
-            Y, X, lambda i: f"bank row {rows[i]}^-1",
+            lambda j: f"{self.names[rows[j]]}^-1",
         )
 
-    def enclosure(self, source: Box) -> tuple[np.ndarray, np.ndarray]:
+    def enclosure(self, source: Box) -> tuple[np.ndarray, np.ndarray] | None:
         """(lo, hi), each (k, n): a box holding each row's image of the
-        source box, A center + b + c -+ (|A| half-widths + |amps|). It holds
-        for any A and uses no declared lam or lip; rounding is the caller's
-        to widen for."""
-        center, half = source.center, (source.hi - source.lo) / 2.0
-        mid = np.matmul(center, np.swapaxes(self.A, 1, 2)) + self.b + self.c
-        rad = np.matmul(half, np.swapaxes(np.abs(self.A), 1, 2))
+        source box, phi(center) + c -+ (|A| half-widths + |amps|). It holds
+        for an affine phi and uses no declared lam or lip; rounding is the
+        caller's to widen for. None when phi is not affine."""
+        if self.phi.affine is None:
+            return None
+        mid = self.phi.fn(source.center) + self.c
+        rad = np.broadcast_to((source.hi - source.lo) / 2.0 @ np.abs(self.phi.affine[0]).T, self.c.shape)
         if self.amps is not None:
             rad = rad + np.abs(self.amps)
         return mid - rad, mid + rad
+
+    def views(self) -> list[SmoothMap]:
+        """One SmoothMap per row, in row order."""
+        return [self._view(i) for i in range(len(self.c))]
+
+    def _view(self, i: int) -> SmoothMap:
+        phi, name = self.phi, self.names[i]
+        c, field = self._params(i)
+        if field is None:
+            lam, lip = phi.lam, phi.lip
+            affine = None if phi.affine is None else (phi.affine[0], phi.affine[1] + c)
+        else:
+            lam = None if phi.lam is None else max(phi.lam - self.eta, 1e-12)
+            lip = None if phi.lip is None else phi.lip + self.eta
+            affine = None
+
+        def fn(x):
+            return _raw(phi, x, c, field)
+
+        def jac(x):
+            return _jac(phi, x, field)
+
+        out = SmoothMap(phi.domain, phi.codomain, fn, jac=jac, name=name, lam=lam, lip=lip, affine=affine)
+        base = phi.inverse
+        if base is None:
+            return out
+
+        def fn_inv(y):
+            y = np.asarray(y, dtype=float)
+            return _invert(phi, y, c, field, lambda X, live: fn(X), lambda X, live: jac(X), lambda j: name + "^-1")
+
+        out.inverse = SmoothMap(phi.codomain, phi.domain, fn_inv, name=name + "^-1", inverse=out)
+        if field is None:
+            out.inverse.jac = lambda y: base.jacobian(y - c)
+            out.inverse.lam, out.inverse.lip = base.lam, base.lip
+            if base.affine is not None:
+                out.inverse.affine = (base.affine[0], base.affine[1] - base.affine[0] @ c)
+        return out
 
 
 @dataclass
@@ -130,7 +230,7 @@ class IFS:
     domain_region: Box
     fixed_points: list[FixedPointRecord] | None = None
     info: dict = field(default_factory=dict)  # construction metadata
-    bank: GeneratorBank | None = None  # the generators, stacked, when they allow it
+    bank: GeneratorBank | None = None  # the bank whose views the generators are, if any
 
     def __post_init__(self):
         if not self.generators:
@@ -411,13 +511,12 @@ def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_00
     return reach
 
 
-def replay_check(ifs: IFS, reach: ReachSet, tol: float | None = None) -> bool:
+def replay_check(ifs: IFS, reach: ReachSet) -> bool:
     """Every witness word, applied to the seed, lands within eps/2 of its
     representative (exact up to float noise for deterministic generators)."""
-    tol = reach.eps / 2.0 if tol is None else tol
     for word, rep in zip(reach.words(), reach.reps):
         got = ifs.apply_word(word, reach.seed)
-        if ifs.space.distance(got, rep) > tol:
+        if ifs.space.distance(got, rep) > reach.eps / 2.0:
             return False
     return True
 
@@ -434,22 +533,21 @@ def minimality_experiment(
     seed_grid,
     eps: float,
     budget: int = 1_000_000,
-    depth: int | None = None,
     refine: int = 4,
 ) -> dict:
     """Fraction of eps-cells of the whole space reached from each seed.
 
     Exploration runs at resolution eps/refine (one representative per fine
     cell undercounts the reachable coarse cells otherwise) and coverage is
-    reported on the eps-grid. The space must be compact.
+    reported on the eps-grid. The space must be compact. The depth is the
+    budget, so the budget is the real limit.
     """
     seeds = np.atleast_2d(np.asarray(seed_grid, dtype=float))
-    depth = depth if depth is not None else budget  # budget is the real limit
     total = ifs.space.total_cells(eps)
     per_seed = []
     reaches = []
     for s in seeds:
-        r = forward_orbit(ifs, s, depth=depth, eps=eps / refine, budget=budget)
+        r = forward_orbit(ifs, s, depth=budget, eps=eps / refine, budget=budget)
         per_seed.append(len(coarsen_cells(r, eps)) / total)
         reaches.append(r)
     return {

@@ -9,20 +9,26 @@ import numpy as np
 from .errors import IntegratorDiverged
 
 
-def _midpoint_step(field, x: np.ndarray, h: float, tol: float, max_inner: int) -> np.ndarray:
+_INNER_TOL = 1e-12  # inner fixed-point tolerance of a midpoint step
+_MAX_INNER = 80  # inner iterations of a midpoint step
+
+
+def _midpoint_step(field, x: np.ndarray, h: float) -> np.ndarray:
     """One implicit-midpoint step of size h from x: the fixed point y of
-    y = x + h * field((x + y) / 2), iterated from the explicit Euler guess."""
+    y = x + h * field((x + y) / 2), iterated from the explicit Euler guess
+    until successive iterates agree within _INNER_TOL, at most _MAX_INNER
+    times."""
     y = x + h * field(x)
     d = np.inf
-    for _ in range(max_inner):
+    for _ in range(_MAX_INNER):
         y_new = x + h * field(0.5 * (x + y))
         d = np.max(np.abs(y_new - y))
         y = y_new
-        if d < tol:
+        if d < _INNER_TOL:
             break
     # finite-difference fields plateau at rounding level; accept that,
     # reject genuine stalls
-    if d >= 1000 * tol:
+    if d >= 1000 * _INNER_TOL:
         raise IntegratorDiverged("implicit midpoint inner iteration stalled")
     return y
 
@@ -32,8 +38,6 @@ def implicit_midpoint(
     x0: np.ndarray,
     t: float,
     steps: int,
-    tol: float = 1e-12,
-    max_inner: int = 80,
 ) -> np.ndarray:
     """Time-t map of the field by fixed-step implicit midpoint.
 
@@ -48,7 +52,7 @@ def implicit_midpoint(
         return x
     h = t / steps
     for _ in range(steps):
-        x = _midpoint_step(field, x, h, tol, max_inner)
+        x = _midpoint_step(field, x, h)
     return x
 
 
@@ -58,8 +62,6 @@ def implicit_midpoint_with_jacobian(
     x0: np.ndarray,
     t: float,
     steps: int,
-    tol: float = 1e-12,
-    max_inner: int = 80,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow and its exact tangent map along the trajectory.
 
@@ -74,7 +76,7 @@ def implicit_midpoint_with_jacobian(
         return x, J
     h = t / steps
     for _ in range(steps):
-        y = _midpoint_step(field, x, h, tol, max_inner)
+        y = _midpoint_step(field, x, h)
         M = dfield(0.5 * (x + y))
         step_jac = np.linalg.solve(eye - 0.5 * h * M, eye + 0.5 * h * M)
         J = step_jac @ J

@@ -208,37 +208,40 @@ def identity_map(space: StateSpace) -> SmoothMap:
     return m
 
 
-def affine_map(
-    space: StateSpace,
-    A,
-    b,
-    name: str = "affine",
-    codomain: StateSpace | None = None,
-) -> SmoothMap:
-    """Affine map x -> A x + b with exact metadata derived from A."""
+def affine_map(space: StateSpace, A, b, name: str = "affine") -> SmoothMap:
+    """Affine map x -> A x + b with exact max-metric bounds derived from A:
+    lip = ||A||_inf and lam = 1/||A^-1||_inf, swapped for the inverse.
+
+    fn and the inverse's fn evaluate one row at a time, so a point gives the
+    same bits alone as in any batch (a 2-D product of m >= 2 rows rounds
+    differently from a single row).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    sv = np.linalg.svd(A, compute_uv=False)
+    At = A.T
+    norm = float(np.abs(A).sum(axis=1).max())
+    invertible = abs(np.linalg.det(A)) > 1e-300
+    Ainv = np.linalg.inv(A) if invertible else None
+    inv_norm = float(np.abs(Ainv).sum(axis=1).max()) if invertible else np.inf
     out = SmoothMap(
         domain=space,
-        codomain=codomain or space,
-        fn=lambda x: x @ A.T + b,
+        codomain=space,
+        fn=lambda x: (x[..., None, :] @ At)[..., 0, :] + b,
         jac=lambda x: np.broadcast_to(A, np.shape(x)[:-1] + A.shape).copy(),
         name=name,
-        lam=float(sv.min()),
-        lip=float(sv.max()),
+        lam=1.0 / inv_norm,
+        lip=norm,
         affine=(A, b),
     )
-    if abs(np.linalg.det(A)) > 1e-300:
-        Ainv = np.linalg.inv(A)
+    if invertible:
         out.inverse = SmoothMap(
-            domain=out.codomain,
+            domain=space,
             codomain=space,
-            fn=lambda y: (y - b) @ Ainv.T,
+            fn=lambda y: ((y - b)[..., None, :] @ Ainv.T)[..., 0, :],
             jac=lambda y: np.broadcast_to(Ainv, np.shape(y)[:-1] + Ainv.shape).copy(),
             name=name + "^-1",
-            lam=1.0 / float(sv.max()),
-            lip=1.0 / float(sv.min()),
+            lam=1.0 / norm,
+            lip=inv_norm,
             affine=(Ainv, -Ainv @ b),
             inverse=out,
         )

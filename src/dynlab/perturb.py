@@ -15,11 +15,9 @@ from math import pi
 
 import numpy as np
 
-from .errors import NoConvergence
+from .ifs import IFS, GeneratorBank
 from .maps import SmoothMap
 from .spaces import Circle, StateSpace
-
-_INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
 
 
 def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
@@ -33,35 +31,6 @@ def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
     freqs = 1.0 / space.extents() * ints * scale
     amps = np.minimum(1.0, 1.0 / (2 * pi * np.abs(freqs).sum(axis=1)))
     return freqs, phases, amps * eta
-
-
-def newton_rows(raw, jac, y, x, label) -> np.ndarray:
-    """Solve raw(x, rows) = y row by row by Newton steps from the warm start x.
-
-    raw(X, rows) and jac(X, rows) evaluate the maps of the given rows and
-    their Jacobians, one point each, as in fixed_points.contract_rows. Row i
-    stops after the step at which its own residual |raw(x_i) - y_i| falls
-    below 1e-13, so its bits do not depend on the other rows of the batch.
-    After _INVERSE_STEPS steps every row still moving must verify below
-    1e-13; NoConvergence names the first that does not, by label(i).
-    """
-    x = np.array(x, dtype=float)
-    live = np.arange(len(y))
-    for _ in range(_INVERSE_STEPS):
-        if not len(live):
-            return x
-        r = raw(x[live], live) - y[live]
-        J = jac(x[live], live)
-        x[live] = x[live] - np.linalg.solve(J, r[..., None])[..., 0]
-        live = live[~(np.abs(r).max(axis=-1) < 1e-13)]
-    if len(live):
-        r = np.abs(raw(x[live], live) - y[live]).max(axis=-1)
-        bad = np.flatnonzero(~(r < 1e-13))
-        if len(bad):
-            raise NoConvergence(
-                f"{label(live[bad[0]])}: Newton left residual {r[bad[0]]:.2e} after {_INVERSE_STEPS} steps"
-            )
-    return x
 
 
 def _shear_pair(space: StateSpace, eta: float, rng: np.random.Generator):
@@ -108,15 +77,11 @@ def _shear_pair(space: StateSpace, eta: float, rng: np.random.Generator):
 
 
 def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
-    """Seeded smooth perturbation of G with C^0 and C^1 size at most eta."""
-    return _perturb(G, eta, seed)[0]
-
-
-def _perturb(G: SmoothMap, eta: float, seed: int):
-    """perturb_map, with the trig field's (freqs, phases, amps) alongside, or
-    None when no trig field was added (eta 0 or a symplectic G)."""
+    """Seeded smooth perturbation of G with C^0 and C^1 size at most eta:
+    a pair of shears for a symplectic G, else the view of a one-row
+    GeneratorBank of G with a trig field."""
     if eta == 0.0:
-        return G, None
+        return G
     rng = np.random.default_rng(seed)
     space = G.domain
 
@@ -156,67 +121,30 @@ def _perturb(G: SmoothMap, eta: float, seed: int):
                 inverse=out,
             )
             out.inverse = inv
-        return out, None
+        return out
 
-    field = _trig_field(space, eta, rng)
-    freqs, phases, amps = field
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return G.fn(x) + amps * np.sin(2 * pi * (x @ freqs.T + phases))
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        c = np.cos(2 * pi * (x @ freqs.T + phases))
-        return G.jacobian(x) + (amps * c)[..., :, None] * (2 * pi * freqs)
-
-    out = SmoothMap(
-        domain=space,
-        codomain=G.codomain,
-        fn=fn,
-        jac=jac,
-        name=f"{G.name}~{eta}",
-        lam=None if G.lam is None else max(G.lam - eta, 1e-12),
-        lip=None if G.lip is None else G.lip + eta,
+    freqs, phases, amps = _trig_field(space, eta, rng)
+    bank = GeneratorBank(
+        G, np.full((1, space.dim), -0.0), (f"{G.name}~{eta}",), eta, freqs[None], phases[None], amps[None]
     )
-    if G.inverse is not None:
-        base_inv = G.inverse
-
-        def fn_inv(y):
-            # newton_rows from the unperturbed inverse, which is eta-close
-            y = np.asarray(y, dtype=float)
-            Y = y.reshape(-1, y.shape[-1])
-            X = newton_rows(
-                lambda X, rows: fn(X), lambda X, rows: jac(X), Y, base_inv.fn(Y),
-                lambda i: f"{G.name}~{eta}^-1",
-            )
-            return X.reshape(y.shape)
-
-        out.inverse = SmoothMap(
-            domain=G.codomain,
-            codomain=space,
-            fn=fn_inv,
-            name=f"{G.name}~{eta}^-1",
-            inverse=out,
-        )
-    return out, field
+    return bank.views()[0]
 
 
-def perturb_ifs(ifs, eta: float, seed: int):
-    """Perturb every generator with independent seeded fields. A banked
-    family whose generators all get a trig field keeps its bank, with the
-    fields stacked."""
-    from .ifs import IFS
-
-    gens, fields = zip(*(_perturb(g, eta, seed + 1000 * i) for i, g in enumerate(ifs.generators)))
-    if all(f is None for f in fields):  # eta 0: the generators are unchanged
-        bank = ifs.bank
-    elif ifs.bank is not None and ifs.bank.freqs is None and all(f is not None for f in fields):
-        freqs, phases, amps = map(np.stack, zip(*fields))
-        bank = replace(ifs.bank, freqs=freqs, phases=phases, amps=amps)
-    else:
-        bank = None
-    return IFS(list(gens), ifs.domain_region, bank=bank)
+def perturb_ifs(ifs: IFS, eta: float, seed: int) -> IFS:
+    """Perturb generator i by perturb_map with seed + 1000 i. A banked
+    family not yet perturbed stacks the same fields into its bank and
+    returns the bank's views."""
+    bank = ifs.bank
+    if eta == 0.0:  # the generators are unchanged
+        return IFS(list(ifs.generators), ifs.domain_region, bank=bank)
+    if bank is None or bank.freqs is not None:
+        gens = [perturb_map(g, eta, seed + 1000 * i) for i, g in enumerate(ifs.generators)]
+        return IFS(gens, ifs.domain_region)
+    fields = [_trig_field(ifs.space, eta, np.random.default_rng(seed + 1000 * i)) for i in range(ifs.k)]
+    freqs, phases, amps = map(np.stack, zip(*fields))
+    names = tuple(f"{name}~{eta}" for name in bank.names)
+    bank = replace(bank, names=names, eta=eta, freqs=freqs, phases=phases, amps=amps)
+    return IFS(bank.views(), ifs.domain_region, bank=bank)
 
 
 def robustness_sweep(

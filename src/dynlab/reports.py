@@ -66,12 +66,11 @@ def certificate_lines(cert) -> list[str]:
     return [f"{i} {int(g)}" for i, g in enumerate(cert.assignment)]
 
 
-def save_point_cloud(path: str | Path, points: np.ndarray, words=None, coord_names=None) -> None:
-    """CSV columns: one per coordinate, then the witness word (dot-joined)."""
+def save_point_cloud(path: str | Path, points: np.ndarray, words=None) -> None:
+    """CSV columns x0, x1, ..., one per coordinate, then the witness word
+    (dot-joined)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = points.shape[1]
-    names = coord_names or [f"x{i}" for i in range(dim)]
-    rows = [",".join(names) + ",word"]
+    rows = [",".join(f"x{i}" for i in range(points.shape[1])) + ",word"]
     for i, p in enumerate(points):
         w = "" if words is None else ".".join(str(s) for s in words[i])
         rows.append(",".join(repr(float(v)) for v in p) + f",{w}")

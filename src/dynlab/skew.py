@@ -361,14 +361,14 @@ def verify_symbolic_double_blender(
     eps: float,
     samples: int,
     seed: int,
-    depth_max: int = 24,
 ) -> dict:
     """cs check on the contracting part plus the same check on the inverted
-    expanding part (the cu side of the inverse skew product)."""
+    expanding part (the cu side of the inverse skew product), each at
+    verify_symbolic_cs_blender's default depth."""
     if phi.expanding is None:
         raise NotInvertible("double-blender verification needs the expanding part")
-    cs = verify_symbolic_cs_blender(phi, region_cs, eps, samples, seed, depth_max)
+    cs = verify_symbolic_cs_blender(phi, region_cs, eps, samples, seed)
     flipped = [FiberMap(f.smooth.inverse or f.smooth, f.apply_inv, f.apply) for f in phi.expanding]
     inverted = SkewProduct(d=phi.d, fiber_space=region_cu.space, contracting=flipped)
-    cu = verify_symbolic_cs_blender(inverted, region_cu, eps, samples, seed + 1, depth_max)
+    cu = verify_symbolic_cs_blender(inverted, region_cu, eps, samples, seed + 1)
     return {"pass": cs["pass"] and cu["pass"], "cs": cs, "cu": cu}

@@ -230,9 +230,9 @@ def flow_h_epsilon(
     eps: float,
     tau: float,
     steps: int = 256,
-    space: StateSpace | None = None,
 ) -> SmoothMap:
-    """Time-tau map of the bump Hamiltonian on the (r, theta) annulus.
+    """Time-tau map of the bump Hamiltonian on the annulus
+    (r, theta) in [-0.5, 2] x R/Z.
 
     Identity for r >= 1 exactly (the bump vanishes, so the field is zero);
     integrated by implicit midpoint inside, hence symplectic up to the
@@ -240,7 +240,7 @@ def flow_h_epsilon(
     """
     if steps < 64:
         raise ValueError("use at least 64 integration steps")
-    space = space if space is not None else StateSpace((Interval(-0.5, 2.0), Circle(1.0)))
+    space = StateSpace((Interval(-0.5, 2.0), Circle(1.0)))
     field = annulus_hamiltonian_field(eps)
     dfield = annulus_hamiltonian_jacobian(eps)
 
@@ -434,9 +434,9 @@ def minimal_generator_pack(
     twist: SmoothMap,
     count_mode: str = "three",
     seed: int = 0,
-    amplitude: float = 0.11,
 ) -> list[SmoothMap]:
-    """The twist together with companions built from random-phase shears.
+    """The twist together with companions built from random-phase shears
+    of amplitude 0.11 (1 + 0.3 u), u uniform in [0, 1).
 
     count_mode "paper_m" returns dim + 2 conjugate generators, "three"
     returns 3; either way the companions preserve sheared circles crossing
@@ -450,7 +450,7 @@ def minimal_generator_pack(
     gens = [twist]
     for j in range(m - 1):
         phase = float(rng.random())
-        amp = amplitude * (1.0 + 0.3 * rng.random())
+        amp = 0.11 * (1.0 + 0.3 * rng.random())
         sh = conjugating_shear(amp, space=space, phase=phase, name=f"shear{j}")
         if count_mode == "recurrent":
             g = compose(twist, sh, name=f"rec{j}")

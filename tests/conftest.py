@@ -1,3 +1,6 @@
+from math import pi
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -50,3 +53,46 @@ def symplectic_model():
 @pytest.fixture(scope="session")
 def symplectic_model_report(symplectic_model):
     return verify_covering_geometric(symplectic_model, grid_step=1 / 16)
+
+
+def _closure_generator(phi, c, field):
+    """Reference: the closures that evaluated a translated, perturbed
+    generator of an affine phi before the bank did, on one point: fn,
+    Jacobian and inverse of x -> ((x A^T + b) + c) + B(x), the inverse
+    Newton's steps from ((y - c) - b) A^-1^T stopping after the step whose
+    residual is below 1e-13, at most 6."""
+    A, b = phi.affine
+    Ainv = np.linalg.inv(A)
+
+    def fn(x):
+        y = x @ A.T + b + c
+        if field is None:
+            return y
+        freqs, phases, amps = field
+        return y + amps * np.sin(2 * pi * (x @ freqs.T + phases))
+
+    def jac(x):
+        if field is None:
+            return A
+        freqs, phases, amps = field
+        return A + (amps * np.cos(2 * pi * (x @ freqs.T + phases)))[:, None] * (2 * pi * freqs)
+
+    def fn_inv(y):
+        x = ((y - c) - b) @ Ainv.T
+        if field is None:
+            return x
+        for _ in range(6):
+            r = fn(x) - y
+            x = x - np.linalg.solve(jac(x)[None], r[None, :, None])[0, :, 0]
+            if np.abs(r).max() < 1e-13:
+                break
+        return x
+
+    return fn, jac, fn_inv
+
+
+@pytest.fixture(scope="session")
+def closure_generator():
+    """Reference (fn, jac, fn_inv) of a translated, perturbed generator of
+    an affine phi, for (phi, c, field), field (freqs, phases, amps) or None."""
+    return _closure_generator

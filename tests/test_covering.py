@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlab.covering import (
+    _pullback_box,
     _slack,
     backward_itinerary,
     certify_density,
@@ -126,6 +129,18 @@ def sheared_ifs():
         for j in range(3)
     ]
     return IFS(gens, Box(sq, [0.0, 0.0], [1.0, 1.0]))
+
+
+def test_pullback_box_maps_into_its_target_under_a_shear():
+    # the corners of the pulled-back box sit lip * rho from the pulled-back
+    # center in the max metric only when lip is the max-metric bound
+    # ||A||_inf = 0.6; the Euclidean norm 0.553 overshoots by 8 %
+    sq = unit_interval_space(2)
+    gen = affine_map(sq, [[0.5, 0.1], [0.0, 0.5]], [0.2, 0.25])
+    target = Box.ball(sq, gen([0.5, 0.5]), 0.05)
+    box = _pullback_box(gen, Box(sq, [0.0, 0.0], [1.0, 1.0]), target)
+    corners = box.lo + np.indices((2, 2)).reshape(2, -1).T * (box.hi - box.lo)
+    assert target.contains(gen.fn(corners), tol=1e-12).all()
 
 
 def test_sheared_certificate_pulls_every_cell_back():
@@ -557,14 +572,19 @@ def test_stacked_fixed_points_match_the_scalar_reference(n, lam, offset, seed, r
     seed=st.integers(0, 2**20),
     eta=st.sampled_from([0.0, 0.01, 0.05]),
 )
-def test_bank_rows_equal_their_generators(n, lam, offset, seed, eta):
+def test_bank_rows_equal_their_generators(n, lam, offset, seed, eta, closure_generator):
     ifs = perturb_ifs(_translated_family(n, lam, offset), eta * lam, seed=seed)
+    bank = ifs.bank
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, ifs.k, 64)
     X = rng.uniform(-1, 1, (64, n))
-    got = ifs.bank.raw(X, rows)
+    got, jac = bank.raw(X, rows), bank.jac(X, rows)
     for j, i in enumerate(rows):
-        assert got[j].tobytes() == ifs.generators[i].fn(X[j]).tobytes()
+        field = None if eta == 0.0 else (bank.freqs[i], bank.phases[i], bank.amps[i])
+        fn_ref, jac_ref, _ = closure_generator(bank.phi, bank.c[i], field)
+        g = ifs.generators[i]
+        assert got[j].tobytes() == g.fn(X[j]).tobytes() == fn_ref(X[j]).tobytes()
+        assert jac[j].tobytes() == g.jacobian(X[j]).tobytes() == jac_ref(X[j]).tobytes()
 
 
 @settings(max_examples=12)
@@ -591,16 +611,18 @@ def test_bank_enclosure_holds_every_image(n, lam, eta, seed):
 
 def test_stalling_row_names_its_generator():
     line = StateSpace((Interval(-1, 1),))
-    # "slow" and "slower" declare lip 0.5 but contract by 0.9999 and
-    # 0.99995, so 200 steps leave them far from their fixed points 0.4 and
-    # -0.4; the error names "slow", the first the scalar loop would meet
-    slopes = np.array([0.5, 0.9999, 0.5, 0.99995])
-    shifts = np.array([0.1, 0.4 * 1e-4, -0.1, -0.4 * 0.5e-4])
-    gens = [
-        SmoothMap(line, line, lambda x, a=a, c=c: x * a + 0.0 + c, name=name, lam=0.5, lip=0.5)
-        for a, c, name in zip(slopes, shifts, ("left", "slow", "right", "slower"))
-    ]
-    bank = GeneratorBank(A=slopes[:, None, None], b=np.zeros((4, 1)), c=shifts[:, None])
+    phi = affine_map(line, [[0.5]], [0.0], name="half")
+    # x / 2 + c + a sin(2 pi (x - z)) fixes z = 2c; "slow" and "slower"
+    # have slope 0.9999 and 0.99995 at their fixed points 0.4 and -0.4 but
+    # declare lip 0.5 (eta 0), so 200 steps leave them far from them; the
+    # error names "slow", the first the scalar loop would meet
+    z = np.array([0.0, 0.4, 0.0, -0.4])
+    amps = np.array([0.0, 0.4999, 0.0, 0.49995]) / (2 * np.pi)
+    bank = GeneratorBank(
+        phi, np.array([[0.1], [0.2], [-0.1], [-0.2]]), ("left", "slow", "right", "slower"), 0.0,
+        freqs=np.ones((4, 1, 1)), phases=-z[:, None], amps=amps[:, None],
+    )
+    gens = bank.views()
     ifs = IFS(gens, Box(line, [-0.5], [0.5]), bank=bank)
     with pytest.raises(NoConvergence, match="^slow: contraction iteration stalled$"):
         ifs.compute_fixed_points()
@@ -608,8 +630,11 @@ def test_stalling_row_names_its_generator():
         find_fixed_point(gens[1], [0.0])
     # without the stalling rows, the stacked solve matches the scalar one
     keep = [0, 2]
-    bank = GeneratorBank(A=bank.A[keep], b=bank.b[keep], c=bank.c[keep])
-    _assert_records_match_reference(IFS([gens[i] for i in keep], ifs.domain_region, bank=bank), [0, 1])
+    bank = replace(
+        bank, c=bank.c[keep], names=("left", "right"),
+        freqs=bank.freqs[keep], phases=bank.phases[keep], amps=bank.amps[keep],
+    )
+    _assert_records_match_reference(IFS(bank.views(), ifs.domain_region, bank=bank), [0, 1])
 
 
 def test_non_affine_base_keeps_the_scalar_path():
@@ -622,10 +647,8 @@ def test_non_affine_base_keeps_the_scalar_path():
         name="phi", lam=0.9 * lam, lip=1.1 * lam,
     )
     ifs = construct_translations(phi, 0.9 * lam, 0.25)
-    assert ifs.bank is None
     _assert_records_match_reference(ifs, range(0, ifs.k, 5))
     pert = perturb_ifs(ifs, 0.02, seed=3)
-    assert pert.bank is None
     _assert_records_match_reference(pert, range(0, pert.k, 5))
 
 
@@ -685,10 +708,9 @@ def _tiling_bank(dim, count):
     space = unit_interval_space(dim)
     a = 1.0 / count
     shifts = np.stack(np.meshgrid(*[np.arange(count) * a] * dim, indexing="ij"), -1).reshape(-1, dim)
-    gens = [affine_map(space, a * np.eye(dim), c, name=f"t{i}") for i, c in enumerate(shifts)]
-    k = len(gens)
-    bank = GeneratorBank(A=np.broadcast_to(a * np.eye(dim), (k, dim, dim)), b=np.zeros((k, dim)), c=shifts)
-    return IFS(gens, Box(space, np.zeros(dim), np.ones(dim)), bank=bank)
+    phi = affine_map(space, a * np.eye(dim), np.zeros(dim), name="t")
+    bank = GeneratorBank(phi, shifts, tuple(f"t{i}" for i in range(len(shifts))))
+    return IFS(bank.views(), Box(space, np.zeros(dim), np.ones(dim)), bank=bank)
 
 
 def _unperturbed_cases():

@@ -176,25 +176,23 @@ def test_a_row_inverts_alone_as_in_a_batch_with_a_slow_row(seed, fast, slow):
 @given(
     n=st.sampled_from([1, 2, 3]),
     lam=st.sampled_from([0.3, 0.5, 0.7]),
-    eta=st.sampled_from([0.01, 0.05]),
+    eta=st.sampled_from([0.0, 0.01, 0.05]),
     seed=st.integers(0, 2**20),
 )
-def test_bank_inverse_rows_equal_their_generators(n, lam, eta, seed):
+def test_bank_inverse_rows_equal_their_generators(n, lam, eta, seed, closure_generator):
     space = StateSpace(tuple(Interval(-1, 1) for _ in range(n)))
     phi = affine_map(space, lam * np.eye(n), np.zeros(n), name="phi")
-    family = construct_translations(phi, lam, 0.9 * (1 - lam) / (1 + lam))
-    ifs = perturb_ifs(family, eta * lam, seed=seed)
+    ifs = perturb_ifs(construct_translations(phi, lam, 0.9 * (1 - lam) / (1 + lam)), eta * lam, seed=seed)
+    bank = ifs.bank
     rng = np.random.default_rng(seed)
     rows = np.concatenate([[0], rng.integers(0, ifs.k, 47)])  # phi's own row first
-    region = ifs.domain_region
-    Y = ifs.bank.raw(region.sample(rng, len(rows)), rows)
-    got = ifs.bank.invert(Y, rows)
+    Y = bank.raw(ifs.domain_region.sample(rng, len(rows)), rows)
+    got = bank.invert(Y, rows)
     for j, i in enumerate(rows):
-        assert got[j].tobytes() == ifs.generators[i].invert(Y[j]).tobytes(), (j, i)
-    # the unperturbed rows are phi's affine inverse, bit for bit too
-    plain = family.bank.invert(Y, rows)
-    for j, i in enumerate(rows):
-        assert plain[j].tobytes() == family.generators[i].invert(Y[j]).tobytes(), (j, i)
+        field = None if eta == 0.0 else (bank.freqs[i], bank.phases[i], bank.amps[i])
+        ref = closure_generator(phi, bank.c[i], field)[2](Y[j])
+        assert got[j].tobytes() == ref.tobytes(), (j, i)
+        assert ifs.generators[i].invert(Y[j]).tobytes() == ref.tobytes(), (j, i)
 
 
 def test_stacked_inverse_names_the_first_stalled_row():
@@ -202,15 +200,68 @@ def test_stacked_inverse_names_the_first_stalled_row():
     # phase 2 pi x rounds by about 1e-13: the field's rounding alone keeps
     # their residual far above 1e-13 within Newton's reach of the start.
     # Rows 0 and 2 are x / 2 + c, inverted exactly by the warm start
+    phi = affine_map(StateSpace((Interval(-200, 200),)), [[0.5]], [0.0], name="half")
     bank = GeneratorBank(
-        A=np.full((4, 1, 1), 0.5), b=np.zeros((4, 1)), c=np.array([[0.0], [-49.5], [0.2], [-49.5]]),
+        phi, np.array([[0.0], [-49.5], [0.2], [-49.5]]), ("g0", "g1", "g2", "g3"), 1e6,
         freqs=np.ones((4, 1, 1)), phases=np.zeros((4, 1)), amps=np.array([[0.0], [1e6], [0.0], [1e6]]),
     )
     Y = np.full((3, 1), 0.37)
-    with pytest.raises(NoConvergence, match=r"^bank row 3\^-1: Newton left residual"):
+    with pytest.raises(NoConvergence, match=r"^g3\^-1: Newton left residual"):
         bank.invert(Y, np.array([3, 1, 0]))
-    with pytest.raises(NoConvergence, match=r"^bank row 1\^-1: Newton left residual"):
+    with pytest.raises(NoConvergence, match=r"^g1\^-1: Newton left residual"):
         bank.invert(Y, np.array([0, 1, 3]))
+    with pytest.raises(NoConvergence, match=r"^g1\^-1: Newton left residual"):
+        bank.views()[1].inverse.fn(Y)
     calm = np.array([0, 2])
     x = bank.invert(Y[:2], calm)
     assert np.max(np.abs(bank.raw(x, calm) - Y[:2])) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path: a batch evaluates as its rows
+# ---------------------------------------------------------------------------
+
+_PLANE = StateSpace((Interval(-1, 1), Interval(-1, 1)))
+_SHEAR = affine_map(_PLANE, [[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0], name="shear")
+_BANKED = {
+    "diagonal-3": construct_translations(
+        affine_map(StateSpace(tuple(Interval(-1, 1) for _ in range(3))), 0.7 * np.eye(3), np.zeros(3), name="phi"),
+        0.7, 0.15,
+    ),
+    "sheared-2": construct_translations(_SHEAR, 0.4, 0.2),
+}
+
+
+def _assert_batch_is_its_rows(g, X):
+    """fn, jacobian and invert of the map on the batch X equal, bit for bit,
+    the same calls on its rows one at a time."""
+    Y = g.fn(X)
+    for call, points in ((g.fn, X), (g.jacobian, X), (g.invert, Y)):
+        single = np.array([call(p) for p in points])
+        assert call(points).tobytes() == single.tobytes(), (g.name, call)
+
+
+@settings(max_examples=8)
+@given(
+    family=st.sampled_from(sorted(_BANKED)),
+    eta=st.sampled_from([0.0, 0.005, 0.02]),
+    seed=st.integers(0, 2**20),
+)
+def test_banked_views_evaluate_a_batch_as_its_rows(family, eta, seed):
+    ifs = perturb_ifs(_BANKED[family], eta, seed=seed)
+    rng = np.random.default_rng(seed)
+    X = ifs.domain_region.sample(rng, 24)
+    for i in rng.integers(0, ifs.k, 4):
+        _assert_batch_is_its_rows(ifs.generators[i], X)
+
+
+@settings(max_examples=16)
+@given(
+    A=st.sampled_from([[[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.1], [0.2, 0.4]], [[0.6, 0.0], [0.0, 0.3]]]),
+    eta=st.sampled_from([0.005, 0.02]),
+    seed=st.integers(0, 2**20),
+)
+def test_perturbed_maps_evaluate_a_batch_as_their_rows(A, eta, seed):
+    g = perturb_map(affine_map(_PLANE, A, [0.05, -0.02]), eta, seed)
+    X = np.random.default_rng(seed).uniform(-0.5, 0.5, (24, 2))
+    _assert_batch_is_its_rows(g, X)
