@@ -2,7 +2,8 @@
 shifts, blender models and twist-map transitivity experiments."""
 
 from .spaces import Box, Circle, Interval, StateSpace, annulus, torus, unit_interval_space
-from .maps import SmoothMap, affine_map, check_symplectic, compose, identity_map, jacobian
+from .maps import SmoothMap, affine_map, check_symplectic, compose, identity_map, jacobian, pair_shear
+from .integrate import hamiltonian_flow
 from .fixed_points import FixedPointRecord, check_weak_hyperbolic, find_fixed_point
 from .ifs import (
     IFS,

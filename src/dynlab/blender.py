@@ -61,6 +61,8 @@ class GeometricBlenderModel:
     symplectic: bool = False
     anchor: int = 0  # rectangle of the distinguished fixed point
     _map: SmoothMap | None = field(default=None, init=False, repr=False)
+    _ifs_cs: IFS | None = field(default=None, init=False, repr=False)
+    _ifs_cu: IFS | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -159,28 +161,30 @@ class GeometricBlenderModel:
         return fwd
 
     def fiber_ifs_cs(self) -> IFS:
-        return IFS(list(self.fibers_cs), self.region_cs)
+        """The contracting fibers' IFS, built once per model, so its
+        fixed-point records are solved once."""
+        if self._ifs_cs is None:
+            self._ifs_cs = IFS(list(self.fibers_cs), self.region_cs)
+        return self._ifs_cs
 
     def fiber_ifs_cu_inverted(self) -> IFS:
-        if self.fibers_cu is None:
-            raise NotInvertible("model has no expanding fibers")
-        invs = []
-        for g in self.fibers_cu:
-            if g.inverse is None:
-                raise NotInvertible(f"{g.name} lacks an inverse")
-            invs.append(g.inverse)
-        return IFS(invs, self.region_cu)
+        """The IFS of the expanding fibers' inverses, built once per model."""
+        if self._ifs_cu is None:
+            if self.fibers_cu is None:
+                raise NotInvertible("model has no expanding fibers")
+            for g in self.fibers_cu:
+                if g.inverse is None:
+                    raise NotInvertible(f"{g.name} lacks an inverse")
+            self._ifs_cu = IFS([g.inverse for g in self.fibers_cu], self.region_cu)
+        return self._ifs_cu
 
-    def fixed_point(self, rect: int | None = None) -> np.ndarray:
-        r = self.anchor if rect is None else rect
-        b = self.base.fixed_point_base(r)
-        y = find_fixed_point(self.fibers_cs[r], self.region_cs.center).point
-        parts = [b, y]
+    def fixed_point(self) -> np.ndarray:
+        """The anchor rectangle's fixed point: its base point and the anchor
+        rows of the fiber IFSs' fixed-point records."""
+        r = self.anchor
+        parts = [self.base.fixed_point_base(r), self.fiber_ifs_cs().compute_fixed_points()[r].point]
         if self.fibers_cu is not None:
-            z = find_fixed_point(
-                self.fibers_cu[r].inverse, self.region_cu.center
-            ).point
-            parts.append(z)
+            parts.append(self.fiber_ifs_cu_inverted().compute_fixed_points()[r].point)
         return np.concatenate(parts)
 
     def region_full(self) -> Box:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VectorTooLarge
-from .integrate import implicit_midpoint, implicit_midpoint_with_jacobian
+from .integrate import hamiltonian_flow
 from .maps import SmoothMap
 from .spaces import Box
 
@@ -140,11 +140,10 @@ def hamiltonian_bump_translation(
     Coordinates pair as (a_1, b_1, a_2, b_2, ...); the displacement applies
     u to the a's and v to the b's, scaled by time_scale. The cutoff core
     covers the swept hull of U so the translation is exact there; the collar
-    is the Hamiltonian flow, integrated by _COLLAR_STEPS implicit-midpoint
-    steps.
+    is the time-1 map of integrate.hamiltonian_flow, _COLLAR_STEPS
+    implicit-midpoint steps.
     """
     space = U.space
-    n = space.dim // 2
     if space.dim % 2 != 0:
         raise VectorTooLarge("paired coordinates needed")
     u_vec = np.asarray(u_vec, dtype=float)
@@ -167,32 +166,22 @@ def hamiltonian_bump_translation(
     L_grad[0::2] = -v_vec * time_scale
     L_grad[1::2] = u_vec * time_scale
 
-    def L(x):
-        return np.asarray(x)[..., :] @ L_grad
-
-    def field(x):
+    def grad(x):
         x = np.asarray(x, dtype=float)
-        gH = chi.grad(x) * L(x)[..., None] + chi.value(x)[..., None] * L_grad
-        out = np.empty_like(x)
-        out[..., 0::2] = gH[..., 1::2]
-        out[..., 1::2] = -gH[..., 0::2]
-        return out
+        return chi.grad(x) * (x @ L_grad)[..., None] + chi.value(x)[..., None] * L_grad
 
-    def dfield(x):
+    def hess(x):
+        # hess(chi) L + grad(chi) gradL^T + gradL grad(chi)^T
         x = np.asarray(x, dtype=float)
-        Lx = L(x)
         gchi = chi.grad(x)
-        Hchi = chi.hess(x)
-        # Hessian of H = hess(chi) L + grad(chi) gradL^T + gradL grad(chi)^T
-        HH = (
-            Hchi * Lx[..., None, None]
+        return (
+            chi.hess(x) * (x @ L_grad)[..., None, None]
             + gchi[..., :, None] * L_grad[None, :]
             + L_grad[:, None] * gchi[..., None, :]
         )
-        out = np.empty_like(HH)
-        out[..., 0::2, :] = HH[..., 1::2, :]
-        out[..., 1::2, :] = -HH[..., 0::2, :]
-        return out
+
+    name = f"bump-translate({np.round(delta, 6)})"
+    collar_flow = hamiltonian_flow(space, grad, hess, 1.0, _COLLAR_STEPS, name)
 
     def pieces(x, sign):
         """Rows of x, their exact translates by sign * delta, and the rows
@@ -211,7 +200,7 @@ def hamiltonian_bump_translation(
         out = pts.copy()
         out[inside] = moved[inside]
         if np.any(collar):
-            out[collar] = implicit_midpoint(field, pts[collar], float(sign), _COLLAR_STEPS)
+            out[collar] = (collar_flow if sign > 0 else collar_flow.inverse).fn(pts[collar])
         return out.reshape(x.shape)
 
     def jac(x):
@@ -219,10 +208,9 @@ def hamiltonian_bump_translation(
         pts, _, _, collar = pieces(x, 1)
         J = np.broadcast_to(np.eye(space.dim), pts.shape + (space.dim,)).copy()
         if np.any(collar):
-            J[collar] = implicit_midpoint_with_jacobian(field, dfield, pts[collar], 1.0, _COLLAR_STEPS)[1]
+            J[collar] = collar_flow.jac(pts[collar])
         return J.reshape(x.shape + (space.dim,))
 
-    name = f"bump-translate({np.round(delta, 6)})"
     fwd = SmoothMap(space, space, lambda x: flow(x, 1), jac=jac, name=name, symplectic=True)
     fwd.inverse = SmoothMap(
         space, space, lambda x: flow(x, -1), name=name + "^-1", symplectic=True, inverse=fwd

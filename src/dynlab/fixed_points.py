@@ -11,6 +11,7 @@ from .maps import SmoothMap, jacobian
 from .spaces import StateSpace
 
 UNIT_TOL = 1e-9  # modulus this close to 1 counts as neutral
+_MAX_ITER = 200  # contraction or Newton steps before NoConvergence
 
 
 @dataclass
@@ -55,7 +56,6 @@ def contract_rows(
     lips,
     names,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Fixed points of k contractions of one space by one row-masked iteration.
 
@@ -66,7 +66,7 @@ def contract_rows(
     residual/(1 - lip_i), so the point is then within tol of it. The image
     that gives the residual is the next iterate, so a step costs one
     evaluation. NoConvergence names the first row still moving after
-    max_iter steps.
+    _MAX_ITER steps.
     """
     x = space.canonicalize(x0)
     live = np.arange(len(x))
@@ -74,7 +74,7 @@ def contract_rows(
     res = np.abs(space.diff(y, x)).max(axis=-1)
     live = live[res >= tol]
     eff = tol * np.maximum(1.0 - np.asarray(lips, dtype=float), 1e-3)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not len(live):
             return x
         x[live] = y[live]
@@ -90,7 +90,6 @@ def find_fixed_point(
     m: SmoothMap,
     guess,
     tol: float = 1e-12,
-    max_iter: int = 200,
     delta: float | None = None,
 ) -> FixedPointRecord:
     """Locate a fixed point from the guess.
@@ -115,12 +114,12 @@ def find_fixed_point(
     if m.is_contracting:
         x = contract_rows(
             lambda X, rows: m.fn(X[0])[None], m.domain, x[None], [m.lip], [m.name],
-            tol=tol, max_iter=max_iter,
+            tol=tol,
         )[0]
     else:
         r = residual(x)
         if np.max(np.abs(r)) >= tol:
-            for _ in range(max_iter):
+            for _ in range(_MAX_ITER):
                 J = jacobian(m, x)
                 A = J - np.eye(m.domain.dim)
                 if np.linalg.cond(A) > 1e14:

@@ -1,4 +1,5 @@
-"""Fixed-step implicit midpoint integration for Hamiltonian vector fields."""
+"""Fixed-step implicit midpoint integration for Hamiltonian vector fields,
+and the time-t maps of Hamiltonian flows built on it."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegratorDiverged
+from .maps import SmoothMap
+from .spaces import StateSpace
 
 
 _INNER_TOL = 1e-12  # inner fixed-point tolerance of a midpoint step
@@ -82,3 +85,46 @@ def implicit_midpoint_with_jacobian(
         J = step_jac @ J
         x = y
     return x, J
+
+
+def hamiltonian_flow(
+    space: StateSpace,
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    steps: int,
+    name: str,
+) -> SmoothMap:
+    """Time-t map of the Hamiltonian H on paired coordinates, by steps
+    implicit-midpoint steps, with its inverse (the time -t map).
+
+    grad and hess give the gradient and the Hessian of H on (..., dim)
+    points. The field is J grad H, (a, b)' = (dH/db, -dH/da) on each pair,
+    and its derivative J Hess H gives both maps' exact tangent maps.
+    """
+
+    def field(x):
+        g = grad(x)
+        out = np.empty_like(g)
+        out[..., 0::2] = g[..., 1::2]
+        out[..., 1::2] = -g[..., 0::2]
+        return out
+
+    def dfield(x):
+        H = hess(x)
+        out = np.empty_like(H)
+        out[..., 0::2, :] = H[..., 1::2, :]
+        out[..., 1::2, :] = -H[..., 0::2, :]
+        return out
+
+    def flow(s, nm):
+        return SmoothMap(
+            space, space, lambda x: implicit_midpoint(field, x, s, steps),
+            jac=lambda x: implicit_midpoint_with_jacobian(field, dfield, x, s, steps)[1],
+            name=nm, symplectic=True,
+        )
+
+    fwd = flow(t, name)
+    fwd.inverse = flow(-t, name + "^-1")
+    fwd.inverse.inverse = fwd
+    return fwd

@@ -30,6 +30,8 @@ from .spaces import StateSpace
 
 # Default finite-difference step, as a fraction of the domain diameter.
 FD_STEP_FRACTION = 1e-5
+_INVERT_TOL = 1e-12  # residual at which invert's Newton solve stops
+_INVERT_MAX_ITER = 80  # Newton steps of invert before NoConvergence
 
 
 @dataclass(eq=False)
@@ -59,15 +61,16 @@ class SmoothMap:
     def jacobian(self, x, h: float | None = None) -> np.ndarray:
         return jacobian(self, x, h)
 
-    def invert(self, y, tol: float = 1e-12, max_iter: int = 80) -> np.ndarray:
-        """Preimage of y, via the attached inverse or a Newton solve (batched)."""
+    def invert(self, y) -> np.ndarray:
+        """Preimage of y, via the attached inverse or a Newton solve (batched)
+        that stops below _INVERT_TOL within _INVERT_MAX_ITER steps."""
         if self.inverse is not None:
             return self.inverse(y)
         y = np.asarray(y, dtype=float)
         x = y.copy()
-        for _ in range(max_iter):
+        for _ in range(_INVERT_MAX_ITER):
             r = self.codomain.diff(self.raw(x), y)
-            if np.max(np.abs(r)) < tol:
+            if np.max(np.abs(r)) < _INVERT_TOL:
                 return self.domain.canonicalize(x)
             J = self.jacobian(x)
             try:
@@ -246,6 +249,47 @@ def affine_map(space: StateSpace, A, b, name: str = "affine") -> SmoothMap:
             inverse=out,
         )
     return out
+
+
+def pair_shear(space: StateSpace, src, dst, g, dg, name: str) -> SmoothMap:
+    """Symplectic shear x[dst_k] -> x[dst_k] + g(x[src])_k, with the exact
+    inverse x[dst_k] - g(x[src])_k.
+
+    src and dst index the last axis: one coordinate each, or k coordinates
+    as slices or lists. Each (src_k, dst_k) is one coordinate pair
+    (a_i, b_i) or (b_i, a_i). g and dg take the source column(s); g_k
+    depends on x[src_k] alone and dg_k is its derivative, so the Jacobian
+    is the identity with dg on the (dst_k, src_k) entries (-dg for the
+    inverse) and the map preserves the form.
+    """
+    eye = np.eye(space.dim)
+    rows, cols = np.arange(space.dim)[dst], np.arange(space.dim)[src]
+
+    def shear(op):
+        def fn(x):
+            x = np.asarray(x, dtype=float).copy()
+            x[..., dst] = op(x[..., dst], g(x[..., src]))
+            return x
+
+        return fn
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        J = np.empty(x.shape[:-1] + eye.shape)
+        J[...] = eye
+        J[..., rows, cols] = dg(x[..., src])
+        return J
+
+    def jac_inv(x):
+        J = jac(x)
+        J[..., rows, cols] = -J[..., rows, cols]
+        return J
+
+    fwd = SmoothMap(space, space, shear(np.add), jac=jac, name=name, symplectic=True)
+    fwd.inverse = SmoothMap(
+        space, space, shear(np.subtract), jac=jac_inv, name=name + "^-1", symplectic=True, inverse=fwd
+    )
+    return fwd
 
 
 def standard_form_matrix(dim: int) -> np.ndarray:

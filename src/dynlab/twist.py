@@ -16,51 +16,20 @@ from math import ceil, pi, sin
 import numpy as np
 
 from .errors import DomainOverflow, HorizonExhausted, NoChain
-from .integrate import implicit_midpoint, implicit_midpoint_with_jacobian
-from .maps import SmoothMap, compose
+from .integrate import hamiltonian_flow
+from .maps import SmoothMap, compose, pair_shear
 from .spaces import Box, Circle, Interval, StateSpace, annulus
 
 
 def twist_map(
     omega,
-    domega=None,
+    domega,
     space: StateSpace | None = None,
     name: str = "twist",
 ) -> SmoothMap:
-    """(I, theta) -> (I, theta + omega(I)) with analytic Jacobian."""
+    """(I, theta) -> (I, theta + omega(I)), the pair shear of theta by omega."""
     space = space if space is not None else annulus()
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0], x[..., 1] + omega(x[..., 0])], axis=-1)
-
-    def fn_inv(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0], x[..., 1] - omega(x[..., 0])], axis=-1)
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        dw = (
-            domega(x[..., 0])
-            if domega is not None
-            else (omega(x[..., 0] + 1e-6) - omega(x[..., 0] - 1e-6)) / 2e-6
-        )
-        J = np.zeros(np.shape(x)[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 0] = dw
-        J[..., 1, 1] = 1.0
-        return J
-
-    def jac_inv(x):
-        J = jac(x)
-        J[..., 1, 0] = -J[..., 1, 0]
-        return J
-
-    fwd = SmoothMap(space, space, fn, jac=jac, name=name, symplectic=True, lam=1.0, lip=None)
-    fwd.inverse = SmoothMap(
-        space, space, fn_inv, jac=jac_inv, name=name + "^-1", symplectic=True, inverse=fwd
-    )
-    return fwd
+    return pair_shear(space, 0, 1, omega, domega, name)
 
 
 def conjugating_shear(
@@ -70,7 +39,8 @@ def conjugating_shear(
     check_region: Box | None = None,
     name: str | None = None,
 ) -> SmoothMap:
-    """(I, theta) -> (I + eps cos(2 pi (theta + phase)), theta), exact inverse.
+    """(I, theta) -> (I + eps cos(2 pi (theta + phase)), theta), the pair
+    shear of I.
 
     On an interval annulus the shear moves I by up to eps, so the region of
     interest must sit at least eps inside the domain (DomainOverflow
@@ -87,40 +57,12 @@ def conjugating_shear(
                 raise DomainOverflow(
                     f"shear amplitude {eps} exceeds the annulus margin"
                 )
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack(
-            [x[..., 0] + eps * np.cos(2 * pi * (x[..., 1] + phase)), x[..., 1]],
-            axis=-1,
-        )
-
-    def fn_inv(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack(
-            [x[..., 0] - eps * np.cos(2 * pi * (x[..., 1] + phase)), x[..., 1]],
-            axis=-1,
-        )
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(np.shape(x)[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 0, 1] = -2 * pi * eps * np.sin(2 * pi * (x[..., 1] + phase))
-        J[..., 1, 1] = 1.0
-        return J
-
-    def jac_inv(x):
-        J = jac(x)
-        J[..., 0, 1] = -J[..., 0, 1]
-        return J
-
-    nm = name or f"shear({eps})"
-    fwd = SmoothMap(space, space, fn, jac=jac, name=nm, symplectic=True)
-    fwd.inverse = SmoothMap(
-        space, space, fn_inv, jac=jac_inv, name=nm + "^-1", symplectic=True, inverse=fwd
+    return pair_shear(
+        space, 1, 0,
+        lambda th: eps * np.cos(2 * pi * (th + phase)),
+        lambda th: -2 * pi * eps * np.sin(2 * pi * (th + phase)),
+        name or f"shear({eps})",
     )
-    return fwd
 
 
 def bump_eta(x) -> np.ndarray | float:
@@ -164,15 +106,12 @@ def bump_eta_second(x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def annulus_hamiltonian_field(eps: float):
-    """Analytic symplectic gradient of the bump Hamiltonian.
+def annulus_hamiltonian_grad(eps: float):
+    """Analytic gradient (dh/dr, dh/dtheta) of the bump Hamiltonian on
+    (r, theta); analytic derivatives keep the integrator's inner solve clean
+    of finite-difference noise."""
 
-    Coordinates are (r, theta) with dr/dt = dH/dtheta, dtheta/dt = -dH/dr
-    matching the paired-coordinate convention; analytic derivatives keep the
-    integrator's inner solve clean of finite-difference noise.
-    """
-
-    def field(x: np.ndarray) -> np.ndarray:
+    def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r = x[..., 0]
         th = 2 * pi * x[..., 1]
@@ -182,23 +121,21 @@ def annulus_hamiltonian_field(eps: float):
         Dp = eps * Ap
         s, c = np.sin(th), np.cos(th)
         # h = A r^2 (s / D + c D)
-        dh_dth = 2 * pi * A * r**2 * (c / D - s * D)
-        dh_dr = (Ap * r**2 + 2 * A * r) * (s / D + c * D) + A * r**2 * Dp * (
+        out = np.empty_like(x)
+        out[..., 0] = (Ap * r**2 + 2 * A * r) * (s / D + c * D) + A * r**2 * Dp * (
             c - s / D**2
         )
-        out = np.empty_like(x)
-        out[..., 0] = dh_dth
-        out[..., 1] = -dh_dr
+        out[..., 1] = 2 * pi * A * r**2 * (c / D - s * D)
         return out
 
-    return field
+    return grad
 
 
-def annulus_hamiltonian_jacobian(eps: float):
-    """Derivative DX of the bump Hamiltonian field (analytic Hessian of h)."""
+def annulus_hamiltonian_hess(eps: float):
+    """Analytic Hessian of the bump Hamiltonian on (r, theta)."""
     m = 2 * pi
 
-    def dfield(x: np.ndarray) -> np.ndarray:
+    def hess(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r = x[..., 0]
         th = m * x[..., 1]
@@ -216,14 +153,14 @@ def annulus_hamiltonian_jacobian(eps: float):
         h_thth = -(m**2) * A * r**2 * P
         h_thr = m * (B * (c / D - s * D) + A * r**2 * (-c * Dp / D**2 - s * Dp))
         h_rr = (App * r**2 + 4.0 * Ap * r + 2.0 * A) * P + 2.0 * B * P_r + A * r**2 * P_rr
-        J = np.empty(np.shape(r) + (2, 2))
-        J[..., 0, 0] = h_thr
-        J[..., 0, 1] = h_thth
-        J[..., 1, 0] = -h_rr
-        J[..., 1, 1] = -h_thr
-        return J
+        H = np.empty(np.shape(r) + (2, 2))
+        H[..., 0, 0] = h_rr
+        H[..., 0, 1] = h_thr
+        H[..., 1, 0] = h_thr
+        H[..., 1, 1] = h_thth
+        return H
 
-    return dfield
+    return hess
 
 
 def flow_h_epsilon(
@@ -241,27 +178,10 @@ def flow_h_epsilon(
     if steps < 64:
         raise ValueError("use at least 64 integration steps")
     space = StateSpace((Interval(-0.5, 2.0), Circle(1.0)))
-    field = annulus_hamiltonian_field(eps)
-    dfield = annulus_hamiltonian_jacobian(eps)
-
-    def fn(x):
-        return implicit_midpoint(field, x, tau, steps)
-
-    def fn_inv(x):
-        return implicit_midpoint(field, x, -tau, steps)
-
-    def jac(x):
-        return implicit_midpoint_with_jacobian(field, dfield, x, tau, steps)[1]
-
-    def jac_inv(x):
-        return implicit_midpoint_with_jacobian(field, dfield, x, -tau, steps)[1]
-
-    fwd = SmoothMap(space, space, fn, jac=jac, name=f"bump-flow({eps},{tau})", symplectic=True)
-    fwd.inverse = SmoothMap(
-        space, space, fn_inv, jac=jac_inv,
-        name=f"bump-flow({eps},{-tau})", symplectic=True, inverse=fwd,
+    return hamiltonian_flow(
+        space, annulus_hamiltonian_grad(eps), annulus_hamiltonian_hess(eps), tau, steps,
+        f"bump-flow({eps},{tau})",
     )
-    return fwd
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dynlab.blender import (
 from dynlab.bumps import hamiltonian_bump_translation
 from dynlab.covering import backward_itinerary
 from dynlab.errors import DominationViolated, NotInvertible, RectanglesOverlap, VectorTooLarge
+from dynlab.fixed_points import find_fixed_point
 from dynlab.horseshoe import HorseshoeBase
 from dynlab.maps import affine_map, check_symplectic
 from dynlab.perturb import perturb_map
@@ -39,6 +40,32 @@ def test_build_valid_model(symplectic_model):
     P = symplectic_model.fixed_point()
     F = symplectic_model.as_map()
     assert np.max(np.abs(F.raw(P) - P)) < 1e-12
+
+
+def test_fixed_point_reads_the_fiber_records_of_one_ifs_per_model():
+    """Each fiber IFS is built once per model, and the fixed point of every
+    anchor is its base point with find_fixed_point of the anchor's fibers
+    from the regions' centers."""
+    base = HorseshoeBase.build(3, mu_ss=0.1, mu_uu=10.0)
+    sp = wide_line()
+    cs = [affine_map(sp, [[0.5]], [c]).with_meta(affine=None, name=f"cs{i}") for i, c in enumerate((0.0, 0.25, 0.5))]
+    D = Box(sp, [0.0], [1.0])
+    model = build_geometric_model(base, cs, D, fibers_cu=[m.inverse for m in cs], region_cu=D)
+    assert model.fiber_ifs_cs() is model.fiber_ifs_cs()
+    assert model.fiber_ifs_cu_inverted() is model.fiber_ifs_cu_inverted()
+    for anchor in range(model.k):
+        model.anchor = anchor
+        ref = np.concatenate([
+            base.fixed_point_base(anchor),
+            find_fixed_point(model.fibers_cs[anchor], model.region_cs.center).point,
+            find_fixed_point(model.fibers_cu[anchor].inverse, model.region_cu.center).point,
+        ])
+        assert model.fixed_point().tobytes() == ref.tobytes()
+    cs_only = build_geometric_model(base, cs, D)
+    ref = np.concatenate([base.fixed_point_base(0), find_fixed_point(cs[0], D.center).point])
+    assert cs_only.fixed_point().tobytes() == ref.tobytes()
+    with pytest.raises(NotInvertible):
+        cs_only.fiber_ifs_cu_inverted()
 
 
 def test_domination_violation():

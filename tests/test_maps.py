@@ -9,9 +9,11 @@ from dynlab.maps import (
     compose,
     identity_map,
     jacobian,
+    pair_shear,
 )
-from dynlab.spaces import Circle, Interval, StateSpace, annulus, unit_interval_space
-from dynlab.twist import conjugating_shear, twist_map
+from dynlab.perturb import perturb_map
+from dynlab.spaces import Circle, Interval, StateSpace, annulus, torus, unit_interval_space
+from dynlab.twist import conjugating_shear, flow_h_epsilon, twist_map
 
 
 def make_twist():
@@ -143,3 +145,45 @@ def test_inverse_consistency():
     pts = np.stack([rng.uniform(0, 1, 40), rng.random(40)], axis=-1)
     back = sh.inverse(sh(pts))
     assert np.max(np.abs(sh.domain.diff(back, pts))) < 1e-14
+
+
+def four_d_shear():
+    """The b1 coordinate shears a1 and a2 shears b2, on the 4-torus."""
+    return pair_shear(
+        torus(4), [1, 2], [0, 3],
+        lambda xs: np.array([0.1, 0.2]) * np.sin(2 * np.pi * xs),
+        lambda xs: np.array([0.1, 0.2]) * 2 * np.pi * np.cos(2 * np.pi * xs),
+        "shear4",
+    )
+
+
+def test_four_d_pair_shear_is_symplectic():
+    sh = four_d_shear()
+    pts = np.random.default_rng(5).random((100, 4))
+    for m in (sh, sh.inverse):
+        rep = check_symplectic(m, pts, tol=1e-12)
+        assert m.symplectic and rep["pass"], rep
+    assert np.max(np.abs(sh.inverse.fn(sh.fn(pts)) - pts)) < 1e-15
+
+
+def test_declared_bounds_are_true_bounds():
+    """Every lam or lip that a symplectic constructor declares, for a map
+    and its inverse, bounds the max-metric Jacobian norms of 200 samples:
+    lip >= max ||J||_inf and lam <= min 1 / ||J^-1||_inf."""
+    rng = np.random.default_rng(6)
+    sp = StateSpace((Interval(-1, 2), Circle(1.0)))
+    tw = twist_map(lambda I: I, lambda I: np.ones_like(I), space=sp)
+    cases = [
+        (tw, rng.uniform([0.0, 0.0], [1.0, 1.0], (200, 2))),
+        (perturb_map(tw, 0.02, seed=5), rng.uniform([0.0, 0.0], [1.0, 1.0], (200, 2))),
+        (conjugating_shear(0.1, space=sp), rng.uniform([0.0, 0.0], [1.0, 1.0], (200, 2))),
+        (four_d_shear(), rng.random((200, 4))),
+        (flow_h_epsilon(0.3, 1.0), rng.uniform([-0.5, 0.0], [1.2, 1.0], (200, 2))),
+    ]
+    for m, pts in cases:
+        for g in (m, m.inverse):
+            J = g.jacobian(pts)
+            norms = np.abs(J).sum(axis=-1).max(axis=-1)
+            inv_norms = np.abs(np.linalg.inv(J)).sum(axis=-1).max(axis=-1)
+            assert g.lip is None or g.lip >= norms.max(), (g.name, g.lip)
+            assert g.lam is None or g.lam <= (1.0 / inv_norms).min(), (g.name, g.lam)
