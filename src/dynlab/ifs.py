@@ -10,7 +10,8 @@ the integer cell keys, one representative point per cell, and for each cell
 the parent cell and the generator that carried the parent's representative
 to it. Witness words are not stored; they are rebuilt on demand by walking
 the parent pointers back to the seed, so memory is O(cells), not
-O(cells * depth).
+O(cells * depth). Cells are marked on a dense boolean grid of at most
+2**24 cells (``CellSet``), so a level costs time in proportion to its images.
 
 One search, ``_explore``, serves orbit coverage, ``fmu.word_into`` and the
 symbolic blender. Each level evaluates every generator once on the whole
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DynlabError, NoConvergence, NoMetadata
 from .fixed_points import FixedPointRecord, contract_rows, find_fixed_point
 from .maps import SmoothMap
-from .spaces import Box, StateSpace
+from .spaces import Box, Interval, StateSpace
 
 Word = tuple[int, ...]
 
@@ -287,59 +288,58 @@ class IFS:
 class CellSet:
     """A set of eps-cell keys of a space, with batched first-occurrence insertion.
 
-    Each key row is packed into one int64 code by mixed radix over a box of
-    keys, and the codes are kept sorted for membership by binary search. The
-    box starts as the space's own grid; a key outside it, such as the cell
-    of an image that left an interval factor, grows the box and the stored
-    codes are packed again. Packing preserves the lexicographic order of the
-    rows, so they stay sorted, and keys are kept exactly wherever they lie as
-    long as the box holds fewer than 2**63 cells.
+    The set is a dense boolean grid ``seen`` over a box of keys, indexed by
+    packing each key row by mixed radix, so an insertion costs time in
+    proportion to its batch, not to the cells already stored. The box starts
+    as the space's own grid. Keys come from ``cell_index``, whose circle keys
+    are always on the grid; an interval key off it, such as the cell of an
+    image that left an interval factor, grows the box. A box of more than
+    2**24 cells raises DynlabError.
     """
 
     def __init__(self, space: StateSpace, eps: float):
-        self.codes = np.zeros(0, dtype=np.int64)
+        self._intervals = [i for i, f in enumerate(space.factors) if isinstance(f, Interval)]
+        self.seen = None
         self._set_box(*space.cell_range(eps))
 
     def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        radix = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-        if math.prod(radix) >= 2**63:
-            raise DynlabError("cell keys span too many cells to pack into int64 codes")
-        self.lo, self.hi = lo, hi
-        self.strides = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))], dtype=np.int64)
+        """Take the box [lo, hi] of keys, keeping the cells seen so far."""
+        shape = tuple(int(h) - int(l) + 1 for l, h in zip(lo, hi))
+        if math.prod(shape) > 2**24:
+            raise DynlabError(f"cell keys span more than 2**24 cells: box {shape}")
+        seen = np.zeros(shape, dtype=bool)
+        if self.seen is not None:
+            seen[tuple(slice(a, a + n) for a, n in zip(self.lo - lo, self.shape))] = self.seen.reshape(self.shape)
+        self.lo, self.hi, self.shape, self.seen = lo, hi, shape, seen.ravel()
+        # the least row of each unseen cell in a batch; it stays at the int32
+        # max on every unseen cell, since a batch marks every cell it hits seen
+        self._first = np.full(seen.size, np.iinfo(np.int32).max, dtype=np.int32)
 
     def _pack(self, keys: np.ndarray) -> np.ndarray:
-        return (keys - self.lo) @ self.strides
+        code = keys[:, 0] - self.lo[0]
+        for i in range(1, len(self.shape)):
+            code = code * self.shape[i] + (keys[:, i] - self.lo[i])
+        return code
 
     def rows(self) -> np.ndarray:
         """The keys in the set, in increasing lexicographic order."""
-        rows = np.empty((len(self.codes), len(self.lo)), dtype=np.int64)
-        rem = self.codes
-        for i, s in enumerate(self.strides):
-            rows[:, i], rem = np.divmod(rem, s)
-        return rows + self.lo
+        return np.stack(np.unravel_index(np.flatnonzero(self.seen), self.shape), axis=-1) + self.lo
 
     def add_new(self, keys: np.ndarray) -> np.ndarray:
         """Insert the keys not yet in the set. Returns, in increasing order,
         the row index of the first occurrence of each newly inserted key."""
         if not len(keys):
             return np.zeros(0, dtype=np.intp)
-        lo, hi = keys.min(axis=0), keys.max(axis=0)
-        if (lo < self.lo).any() or (hi > self.hi).any():
-            rows = self.rows()
-            self._set_box(np.minimum(lo, self.lo), np.maximum(hi, self.hi))
-            self.codes = self._pack(rows)
+        if any(keys[:, i].min() < self.lo[i] or keys[:, i].max() > self.hi[i] for i in self._intervals):
+            self._set_box(np.minimum(keys.min(axis=0), self.lo), np.maximum(keys.max(axis=0), self.hi))
         codes = self._pack(keys)
-        # a stable sort puts each code's first occurrence first in its run
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        pos = np.searchsorted(self.codes, codes)
-        new = np.ones(len(codes), dtype=bool)
-        if len(self.codes):
-            new = self.codes[np.minimum(pos, len(self.codes) - 1)] != codes
-        new[1:] &= codes[1:] != codes[:-1]
-        # a stable sort merges the two sorted runs in linear time
-        self.codes = np.sort(np.concatenate([self.codes, codes[new]]), kind="stable")
-        return np.sort(order[new])
+        fresh = np.flatnonzero(~self.seen[codes])
+        codes = codes[fresh]
+        rows = fresh.astype(np.int32)
+        np.minimum.at(self._first, codes, rows)
+        first = self._first[codes] == rows
+        self.seen[codes[first]] = True
+        return fresh[first]
 
 
 @dataclass(eq=False)

@@ -5,9 +5,8 @@ deterministically from the seed. A non-symplectic map gains a
 low-frequency trigonometric field with value and derivative both bounded
 by eta. A symplectic map is followed by a pair of shears instead, which
 preserves the form exactly. Each shear is bounded by eta/2 in value and
-derivative on its own, and nothing scales them against the map: the
-composition moves points by at most eta, but its derivative differs from
-the map's by (DS2 DS1 - I) DG, which can reach eta ||DG||.
+derivative on its own, so each has ||DS||_inf <= 1 + eta/2 and the
+composition's lam and lip are the map's scaled by (1 + eta/2)^2.
 """
 
 from __future__ import annotations
@@ -22,16 +21,18 @@ from .maps import SmoothMap, pair_shear
 from .spaces import Circle, StateSpace
 
 
-def _trig_field(space: StateSpace, eta: float, rng: np.random.Generator):
-    """Parameters (freqs, phases, amps) of a smooth field
-    B(x) = amps * sin(2 pi (x freqs^T + phases)) with sup|B| <= eta and
-    sup|DB| <= eta componentwise. The n x n frequency integers are one draw,
-    after the phases, in the row-major order of n^2 scalar draws."""
-    phases = rng.uniform(0.0, 1.0, space.dim)
-    ints = rng.integers(1, 3, size=(space.dim, space.dim))
+def _trig_field(space: StateSpace, eta: float, seeds):
+    """Parameters (freqs, phases, amps), stacked one row per seed, of smooth
+    fields B(x) = amps * sin(2 pi (x freqs^T + phases)) with sup|B| <= eta
+    and sup|DB| <= eta componentwise. Each field draws from its own
+    default_rng(seed) its phases, then its n x n frequency integers, in the
+    row-major order of n^2 scalar draws."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    phases = np.array([rng.uniform(0.0, 1.0, space.dim) for rng in rngs])
+    ints = np.array([rng.integers(1, 3, size=(space.dim, space.dim)) for rng in rngs])
     scale = np.array([1.0 if isinstance(f, Circle) else 0.5 for f in space.factors])
     freqs = 1.0 / space.extents() * ints * scale
-    amps = np.minimum(1.0, 1.0 / (2 * pi * np.abs(freqs).sum(axis=1)))
+    amps = np.minimum(1.0, 1.0 / (2 * pi * np.abs(freqs).sum(axis=-1)))
     return freqs, phases, amps * eta
 
 
@@ -65,18 +66,18 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
     preserves the form exactly; else the view of a one-row GeneratorBank of
     G with a trig field of value and derivative at most eta.
 
-    The shears bound their own sizes, not the composition's: it moves a
-    point by at most eta, but its derivative differs from DG by up to about
-    eta ||DG||. The declared lam and lip are G's moved by eta."""
+    The shears move a point by at most eta and each has ||DS||_inf and
+    ||DS^-1||_inf at most 1 + eta/2, so the declared lip is G's times
+    (1 + eta/2)^2 and lam is G's over it."""
     if eta == 0.0:
         return G
-    rng = np.random.default_rng(seed)
     space = G.domain
 
     if G.symplectic:
         if space.dim % 2 != 0:
             raise ValueError("symplectic perturbation needs paired coordinates")
-        s1, s2 = _shear_pair(space, eta, rng)
+        s1, s2 = _shear_pair(space, eta, np.random.default_rng(seed))
+        stretch = (1.0 + eta / 2.0) ** 2
 
         def fn(x):
             return s2.fn(s1.fn(G.fn(np.asarray(x, dtype=float))))
@@ -94,8 +95,8 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
             jac=jac,
             name=f"{G.name}~{eta}",
             symplectic=True,
-            lam=None if G.lam is None else max(G.lam - eta, 1e-12),
-            lip=None if G.lip is None else G.lip + eta,
+            lam=None if G.lam is None else G.lam / stretch,
+            lip=None if G.lip is None else G.lip * stretch,
         )
         if G.inverse is not None:
             inv = SmoothMap(
@@ -109,10 +110,8 @@ def perturb_map(G: SmoothMap, eta: float, seed: int) -> SmoothMap:
             out.inverse = inv
         return out
 
-    freqs, phases, amps = _trig_field(space, eta, rng)
-    bank = GeneratorBank(
-        G, np.full((1, space.dim), -0.0), (f"{G.name}~{eta}",), eta, freqs[None], phases[None], amps[None]
-    )
+    field = _trig_field(space, eta, [seed])
+    bank = GeneratorBank(G, np.full((1, space.dim), -0.0), (f"{G.name}~{eta}",), eta, *field)
     return bank.views()[0]
 
 
@@ -126,8 +125,7 @@ def perturb_ifs(ifs: IFS, eta: float, seed: int) -> IFS:
     if bank is None or bank.freqs is not None:
         gens = [perturb_map(g, eta, seed + 1000 * i) for i, g in enumerate(ifs.generators)]
         return IFS(gens, ifs.domain_region)
-    fields = [_trig_field(ifs.space, eta, np.random.default_rng(seed + 1000 * i)) for i in range(ifs.k)]
-    freqs, phases, amps = map(np.stack, zip(*fields))
+    freqs, phases, amps = _trig_field(ifs.space, eta, [seed + 1000 * i for i in range(ifs.k)])
     names = tuple(f"{name}~{eta}" for name in bank.names)
     bank = replace(bank, names=names, eta=eta, freqs=freqs, phases=phases, amps=amps)
     return IFS(bank.views(), ifs.domain_region, bank=bank)

@@ -321,8 +321,10 @@ def verify_symbolic_cs_blender(
     fibers land inside the strips' fiber balls; a witness base splices the
     leaf's left side with the strip's right side. One exploration of the
     orbit core (``ifs._explore``) serves each deduplication grid,
-    min(eps, radius)/8, with all its strips' balls as targets. Reports the
-    worst depth needed and per-strip outcomes.
+    min(eps, radius)/8, with all its strips' balls as targets. Reports
+    per-strip outcomes and the worst depth; a strip's ``depth``, the level at
+    which the deduplicated search first hits its ball, bounds the length of
+    the shortest word into the ball from above, but is not that length.
     """
     rng = np.random.default_rng(seed)
     x0, y0 = phi.fixed_point(0)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlab.errors import PointOutsideDomain
-from dynlab.ifs import IFS, _explore, _root, apply_word, extend_orbit, forward_orbit, replay_check
+from dynlab.errors import DynlabError, PointOutsideDomain
+from dynlab.ifs import IFS, CellSet, _explore, _root, apply_word, extend_orbit, forward_orbit, replay_check
 from dynlab.maps import affine_map, identity_map
 from dynlab.reports import reachset_lines
-from dynlab.spaces import Box, annulus, torus, unit_interval_space
+from dynlab.spaces import Box, Circle, Interval, StateSpace, annulus, torus, unit_interval_space
 from dynlab.twist import minimal_generator_pack, twist_map
 
 
@@ -286,3 +286,49 @@ def test_witnesses_replay_from_random_seed_interval(triple_ifs, x):
 def test_witnesses_replay_from_random_seed_torus(torus_pack_ifs, x, y):
     reach = forward_orbit(torus_pack_ifs, [x, y], depth=10**6, eps=1 / 32, budget=3000)
     assert replay_check(torus_pack_ifs, reach)
+
+
+# ---------------------------------------------------------------------------
+# the occupancy grid against a first-occurrence reference on a Python set
+# ---------------------------------------------------------------------------
+
+CELL_SPACES = {
+    "circle": torus(2),
+    "interval": unit_interval_space(2),
+    "mixed": annulus(),
+    "mixed3": StateSpace((Circle(1.0), Interval(-1.0, 1.0), Circle(0.5))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CELL_SPACES)), st.sampled_from([1 / 3, 1 / 4, 1 / 8]))
+def test_cell_set_inserts_first_occurrences_as_a_python_set_does(data, name, eps):
+    # circle keys come wrapped, as cell_index makes them; interval keys may
+    # lie up to 3 cells off the grid on either side and grow the box
+    space = CELL_SPACES[name]
+    lo, hi = space.cell_range(eps)
+    off = [0 if isinstance(f, Circle) else 3 for f in space.factors]
+    key = st.tuples(*[st.integers(int(a) - o, int(b) + o) for a, b, o in zip(lo, hi, off)])
+    batches = data.draw(st.lists(st.lists(key, max_size=40), max_size=6))
+    cells, ref = CellSet(space, eps), set()
+    for batch in batches:
+        want = []
+        for i, k in enumerate(batch):
+            if k not in ref:
+                ref.add(k)
+                want.append(i)
+        got = cells.add_new(np.array(batch, dtype=np.int64).reshape(len(batch), space.dim))
+        assert got.dtype == np.intp and got.tolist() == want
+    assert cells.rows().tolist() == [list(k) for k in sorted(ref)]
+
+
+def test_cell_set_box_over_the_limit_raises():
+    with pytest.raises(DynlabError):
+        CellSet(torus(2), 1 / 4097)  # 4097**2 > 2**24 cells
+    cells = CellSet(unit_interval_space(1), 1 / 8)
+    cells.add_new(np.array([[3], [-2]]))
+    with pytest.raises(DynlabError):
+        cells.add_new(np.array([[2**24]]))
+    # the failed insertion leaves the set as it was
+    assert cells.rows().ravel().tolist() == [-2, 3]
+    assert cells.add_new(np.array([[3], [9], [9]])).tolist() == [1]

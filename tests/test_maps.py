@@ -180,6 +180,11 @@ def test_declared_bounds_are_true_bounds():
         (four_d_shear(), rng.random((200, 4))),
         (flow_h_epsilon(0.3, 1.0), rng.uniform([-0.5, 0.0], [1.2, 1.0], (200, 2))),
     ]
+    # an affine map flagged symplectic declares lam and lip, so its
+    # perturbation must scale them by the shears' (1 + eta/2)^2
+    cat = affine_map(torus(2), [[2, 1], [1, 1]], [0.1, 0.2])
+    cat.symplectic = True
+    cases.append((perturb_map(cat, 0.1, seed=0), rng.random((200, 2))))
     for m, pts in cases:
         for g in (m, m.inverse):
             J = g.jacobian(pts)

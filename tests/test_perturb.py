@@ -146,11 +146,16 @@ def _scalar_trig_field(space, eta, rng):
     ],
 )
 def test_trig_field_draws_match_the_scalar_loop(factors):
+    """One stacked call gives every seed's field, each the bytes of the
+    scalar loop on its own generator, as a call for that seed alone does."""
     space = StateSpace(factors)
-    for seed in range(50):
-        got = _trig_field(space, 0.03, np.random.default_rng(seed))
+    seeds = list(range(50))
+    stacked = _trig_field(space, 0.03, seeds)
+    for seed in seeds:
+        alone = _trig_field(space, 0.03, [seed])
         ref = _scalar_trig_field(space, 0.03, np.random.default_rng(seed))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), seed
+        for a, b, c in zip(stacked, alone, ref):
+            assert a[seed].tobytes() == b[0].tobytes() == c.tobytes(), seed
 
 
 @settings(max_examples=30)
