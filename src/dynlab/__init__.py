@@ -47,6 +47,7 @@ from .blender import (
     verify_covering_geometric,
     verify_double_blender,
     verify_strip_intersection,
+    verify_strips,
 )
 from .bumps import hamiltonian_bump_translation
 from .twist import (

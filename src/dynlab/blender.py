@@ -372,16 +372,20 @@ def sample_strips(
 
 
 def verify_strip_intersection(
-    model: GeometricBlenderModel,
-    strip: Strip,
-    fiber_cert: CoveringCertificate,
-    depth: int,
-    eps: float,
-    G: SmoothMap | None = None,
-    fiber_cert_cu: CoveringCertificate | None = None,
+    model: GeometricBlenderModel, strip: Strip, fiber_cert: CoveringCertificate, depth: int,
+    eps: float, G: SmoothMap | None = None, fiber_cert_cu: CoveringCertificate | None = None,
 ) -> dict:
-    """Does the strip meet the invariant set's strong manifold through the
-    fixed point? Returns the witness word and the replay residuals.
+    """verify_strips on a batch of one strip."""
+    return verify_strips(model, [strip], fiber_cert, depth, eps, G=G, fiber_cert_cu=fiber_cert_cu)[0]
+
+
+def verify_strips(
+    model: GeometricBlenderModel, strips: list[Strip], fiber_cert: CoveringCertificate, depth: int,
+    eps: float, G: SmoothMap | None = None, fiber_cert_cu: CoveringCertificate | None = None,
+) -> list[dict]:
+    """Does each strip meet the invariant set's strong manifold through the
+    fixed point? One result per strip: the witness word and the replay
+    residuals.
 
     s-strips are tested against the unstable side: a fiber density word w
     with phi_w(q) inside the strip's ball is found by backward pullback,
@@ -390,12 +394,37 @@ def verify_strip_intersection(
     perturbed) map. u-strips are tested against the stable side through the
     mirrored construction, with the word constrained to enter the strip's
     rectangle first.
+
+    The fixed point is solved once per call, and every start still open is
+    replayed in one batch, each row along its own itinerary: the map
+    evaluates a batch as its rows, so each row replays as it would alone.
     """
     Gmap = model.as_map() if G is None else G
     # the model's own map needs no continuation or shooting: its fixed point
     # and starts are exact
     exact = Gmap is model.as_map()
     P = model.fixed_point() if exact else find_fixed_point(Gmap, model.fixed_point()).point
+    results: list[dict | None] = [None] * len(strips)
+    pending = []  # (strip index, start, itinerary)
+    for n, strip in enumerate(strips):
+        out = _strip_start(model, Gmap, exact, P, strip, fiber_cert, fiber_cert_cu, depth)
+        if isinstance(out, dict):
+            results[n] = out
+        else:
+            pending.append((n, *out))
+    if pending:
+        words = np.full((len(pending), max(len(w) for _, _, w in pending)), _PAD)
+        for row, (_, _, w) in enumerate(pending):
+            words[row, : len(w)] = w
+        steps, reached = _replay(model.base, Gmap, np.array([s for _, s, _ in pending]), words)
+        for (n, start, itinerary), t, p in zip(pending, steps.tolist(), reached):
+            results[n] = _strip_verdict(model, P, strips[n], start, itinerary, t, p, eps)
+    return results
+
+
+def _strip_start(model, Gmap, exact, P, strip, fiber_cert, fiber_cert_cu, depth) -> tuple | dict:
+    """The strip's replay start and itinerary, or its result when it is
+    decided before any replay (no density word, or no shot orbit)."""
     base = model.base
     r0 = model.anchor
     ny = model.ny
@@ -487,10 +516,14 @@ def verify_strip_intersection(
                 "reason": "refined start left the strip's fiber ball",
                 "witness_word": itinerary,
             }
+    return start, itinerary
 
-    # exact replay through the actual map, checking the base itinerary
-    steps, reached = _replay_batch(base, Gmap, start[None], itinerary)
-    t, p = int(steps[0]), reached[0]
+
+def _strip_verdict(model, P, strip, start, itinerary: Word, t: int, p, eps: float) -> dict:
+    """The strip's result from its replay: t itinerary steps followed,
+    ending at p."""
+    base = model.base
+    ny = model.ny
     if t < len(itinerary):
         r = int(base.rect_of(p[:2]))
         return {
@@ -512,7 +545,7 @@ def verify_strip_intersection(
         # the start point sits on the strip; the base has already entered
         # the anchor rectangle, so the tail converges to P
         z_err = float(np.max(np.abs(p[2 + ny :] - P[2 + ny :])))
-        u_err = 0.0 if int(base.rect_of(p[:2])) == r0 else np.inf
+        u_err = 0.0 if int(base.rect_of(p[:2])) == model.anchor else np.inf
         on_strip = strip.fiber_ball.contains(start[2 + ny :], tol=1e-12)
         hit = z_err <= eps and u_err <= eps and bool(on_strip)
         residual = z_err
@@ -527,15 +560,19 @@ def verify_strip_intersection(
     }
 
 
-def _replay_batch(base: HorseshoeBase, Gmap: SmoothMap, P: np.ndarray, itinerary: Word):
-    """(k, Q): the number of itinerary steps each row of P follows, and the
-    point it reached. A row leaves the batch at the first step whose
-    rectangle breaks the itinerary, before the map sees it."""
+_PAD = -2  # pads a word row past its end; rect_of gives -1 in gaps, never -2
+
+
+def _replay(base: HorseshoeBase, Gmap: SmoothMap, P: np.ndarray, words: np.ndarray):
+    """(k, Q): the number of steps of its own word each row of P follows,
+    and the point it reached. Row r follows words[r], padded with _PAD past
+    the word's end; it leaves the batch at that end or at the first step
+    whose rectangle breaks the word, before the map sees it."""
     Q = np.array(P, dtype=float)
     k = np.zeros(len(Q), dtype=int)
     live = np.arange(len(Q))
-    for t, sym in enumerate(itinerary):
-        live = live[base.rect_of(Q[live, :2]) == sym]
+    for t in range(words.shape[1]):
+        live = live[base.rect_of(Q[live, :2]) == words[live, t]]
         if not live.size:
             break
         Q[live] = Gmap.raw(Q[live])
@@ -625,19 +662,20 @@ def _shoot_start(
     base = model.base
     ny = model.ny
     m = len(itinerary)
+    word = np.asarray(itinerary)
 
     def replay_at(p0: np.ndarray, col: int, values: np.ndarray):
         """Replay copies of p0 with coordinate col set to each value."""
         P = np.repeat(p0[None], len(values), axis=0)
         P[:, col] = values
-        return _replay_batch(base, Gmap, P, itinerary)
+        return _replay(base, Gmap, P, np.broadcast_to(word, (len(P), m)))
 
     def u_scores(p0: np.ndarray, us: np.ndarray) -> np.ndarray:
         """Signed surrogates, increasing in the start u; 0 when on target.
         A row that broke the itinerary scores by its side of the center of
         the slab it missed."""
         k, Q = replay_at(p0, 1, us)
-        missed = base.slab_lo[np.asarray(itinerary)[np.minimum(k, m - 1)]]
+        missed = base.slab_lo[word[np.minimum(k, m - 1)]]
         center = 0.5 * (missed + (missed + base.height))
         return np.where(k < m, Q[:, 1] - center, Q[:, 1] - u_target)
 
@@ -709,7 +747,7 @@ def _shoot_start(
         if np.array_equal(p0z, p0):
             break  # a round that returns its input would repeat itself
         p0 = p0z
-    k, Q = _replay_batch(base, Gmap, p0[None], itinerary)
+    k, Q = _replay(base, Gmap, p0[None], word[None])
     p = Q[0]
     if k[0] < m or abs(p[1] - u_target) > 1e-5:
         return None
@@ -730,16 +768,9 @@ def verify_double_blender(
 ) -> dict:
     """Both strip directions: s-strips against the unstable side, u-strips
     against the stable side (through the inverse dynamics)."""
-    s_results = [
-        verify_strip_intersection(model, s, fiber_cert, depth, eps, G=G,
-                                  fiber_cert_cu=fiber_cert_cu)
-        for s in strips_s
-    ]
-    u_results = [
-        verify_strip_intersection(model, s, fiber_cert, depth, eps, G=G,
-                                  fiber_cert_cu=fiber_cert_cu)
-        for s in strips_u
-    ]
+    results = verify_strips(model, list(strips_s) + list(strips_u), fiber_cert, depth, eps,
+                            G=G, fiber_cert_cu=fiber_cert_cu)
+    s_results, u_results = results[: len(strips_s)], results[len(strips_s) :]
     s_pass = all(r["hit"] for r in s_results)
     u_pass = all(r["hit"] for r in u_results)
     return {

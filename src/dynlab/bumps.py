@@ -22,23 +22,38 @@ from .spaces import Box
 _COLLAR_STEPS = 128  # implicit-midpoint steps of a bump translation's collar flow
 
 
-def smoothstep7(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
+def _ramp_terms(x, outer_lo, core_lo, core_hi, outer_hi, order: int) -> list[np.ndarray]:
+    """Profiles at the points x and their first `order` derivatives,
+    [value, d1, d2][: order + 1], each shaped like x (bounds broadcast
+    against x).
 
-
-def smoothstep7_d1(t: np.ndarray) -> np.ndarray:
+    The profile is the lesser of an up ramp over [outer_lo, core_lo] and a
+    down ramp over [core_hi, outer_hi], each the degree-7 step
+    t^4 (35 - 84 t + 70 t^2 - 20 t^3) on [0, 1]. The up and down arguments
+    are stacked into one (2, ...) array and clipped once, so the step and
+    each derivative are evaluated once; a derivative is taken from the up
+    ramp below the core, from the down ramp above it, and is 0 where the
+    argument is outside (0, 1).
+    """
+    wl = core_lo - outer_lo
+    wr = outer_hi - core_hi
+    t = np.stack([(x - outer_lo) / wl, (outer_hi - x) / wr])
     inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 140.0 * t**3 - 420.0 * t**4 + 420.0 * t**5 - 140.0 * t**6, 0.0)
-
-
-def smoothstep7_d2(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(
-        inside, 420.0 * t**2 - 1680.0 * t**3 + 2100.0 * t**4 - 840.0 * t**5, 0.0
-    )
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    t2, t3, t4 = t**2, t**3, t**4
+    step = t4 * (35.0 - 84.0 * t + 70.0 * t2 - 20.0 * t3)
+    out = [np.minimum(step[0], step[1])]
+    if order < 1:
+        return out
+    below, above = x < core_lo, x > core_hi
+    t5 = t**5
+    d = np.where(inside, 140.0 * t3 - 420.0 * t4 + 420.0 * t5 - 140.0 * t**6, 0.0)
+    out.append(np.where(below, d[0] / wl, np.where(above, -d[1] / wr, 0.0)))
+    if order < 2:
+        return out
+    d = np.where(inside, 420.0 * t2 - 1680.0 * t3 + 2100.0 * t4 - 840.0 * t5, 0.0)
+    out.append(np.where(below, d[0] / wl**2, np.where(above, d[1] / wr**2, 0.0)))
+    return out
 
 
 @dataclass(eq=False)
@@ -50,82 +65,59 @@ class AxisRamp:
     core_hi: float
     outer_hi: float
 
+    def terms(self, x, order: int) -> list[np.ndarray]:
+        """The profile at x and its first `order` derivatives (_ramp_terms)."""
+        x = np.asarray(x, dtype=float)
+        return _ramp_terms(x, self.outer_lo, self.core_lo, self.core_hi, self.outer_hi, order)
+
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        up = smoothstep7((x - self.outer_lo) / (self.core_lo - self.outer_lo))
-        down = smoothstep7((self.outer_hi - x) / (self.outer_hi - self.core_hi))
-        return np.minimum(up, down)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        wl = self.core_lo - self.outer_lo
-        wr = self.outer_hi - self.core_hi
-        up = smoothstep7_d1((x - self.outer_lo) / wl) / wl
-        down = -smoothstep7_d1((self.outer_hi - x) / wr) / wr
-        return np.where(x < self.core_lo, up, np.where(x > self.core_hi, down, 0.0))
-
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        wl = self.core_lo - self.outer_lo
-        wr = self.outer_hi - self.core_hi
-        up = smoothstep7_d2((x - self.outer_lo) / wl) / wl**2
-        down = smoothstep7_d2((self.outer_hi - x) / wr) / wr**2
-        return np.where(x < self.core_lo, up, np.where(x > self.core_hi, down, 0.0))
+        return self.terms(x, 0)[0]
 
 
 @dataclass(eq=False)
 class BoxBump:
-    """Product cutoff: 1 on the core box, 0 outside the outer box."""
+    """Product cutoff: 1 on the core box, 0 outside the outer box.
 
-    ramps: list[AxisRamp]
+    The per-axis bounds are (n, 1) columns, so the axis profiles are
+    evaluated axis-first, on (n, batch) arrays, in one _ramp_terms call.
+    """
+
+    bounds: np.ndarray  # (4, n, 1): outer_lo, core_lo, core_hi, outer_hi
 
     @classmethod
     def between(cls, core: Box, outer: Box) -> "BoxBump":
-        ramps = []
-        for i in range(core.space.dim):
-            if core.lo[i] - outer.lo[i] < 1e-12 or outer.hi[i] - core.hi[i] < 1e-12:
-                raise VectorTooLarge(
-                    f"no collar room on axis {i}: core must sit strictly inside"
-                )
-            ramps.append(
-                AxisRamp(outer.lo[i], core.lo[i], core.hi[i], outer.hi[i])
+        room = np.minimum(core.lo - outer.lo, outer.hi - core.hi)
+        tight = np.flatnonzero(room < 1e-12)
+        if tight.size:
+            raise VectorTooLarge(
+                f"no collar room on axis {tight[0]}: core must sit strictly inside"
             )
-        return cls(ramps)
+        return cls(np.stack([outer.lo, core.lo, core.hi, outer.hi])[..., None])
 
-    def value(self, x):
+    def jet(self, x, order: int) -> list[np.ndarray]:
+        """chi at the points x (..., n) and its first `order` derivatives
+        (gradient (..., n), Hessian (..., n, n)), all from one evaluation of
+        the axis profiles.
+
+        Each product runs over the axes in order, with 1.0 standing in for
+        the axes it leaves out.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for i, r in enumerate(self.ramps):
-            out = out * r.value(x[..., i])
+        batch = x.shape[:-1]
+        cols = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+        v, *d = _ramp_terms(cols, *self.bounds, order)
+        eye = np.eye(len(v), dtype=bool)[..., None]
+        out = [np.multiply.reduce(v, axis=0).reshape(batch)]
+        if order >= 1:
+            others = np.multiply.reduce(np.where(eye, 1.0, v[None]), axis=1)
+            out.append((d[0] * others).T.reshape(x.shape))
+        if order >= 2:
+            # rest[i, j]: the product of the profiles off axes i and j
+            off = eye[:, None] | eye[None, :]
+            rest = np.multiply.reduce(np.where(off, 1.0, v[None, None]), axis=2)
+            pairs = np.where(eye, d[1][:, None], d[0][:, None] * d[0][None, :])
+            out.append(np.moveaxis(pairs * rest, (0, 1), (-2, -1)).reshape(x.shape + x.shape[-1:]))
         return out
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = np.stack([r.value(x[..., i]) for i, r in enumerate(self.ramps)], axis=-1)
-        g = np.empty_like(vals)
-        for i, r in enumerate(self.ramps):
-            others = np.prod(np.delete(vals, i, axis=-1), axis=-1)
-            g[..., i] = r.d1(x[..., i]) * others
-        return g
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        n = len(self.ramps)
-        vals = np.stack([r.value(x[..., i]) for i, r in enumerate(self.ramps)], axis=-1)
-        d1 = np.stack([r.d1(x[..., i]) for i, r in enumerate(self.ramps)], axis=-1)
-        d2 = np.stack([r.d2(x[..., i]) for i, r in enumerate(self.ramps)], axis=-1)
-        H = np.empty(x.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(n):
-                mask = np.ones(n, dtype=bool)
-                mask[i] = False
-                mask[j] = False
-                rest = np.prod(vals[..., mask], axis=-1)
-                if i == j:
-                    H[..., i, i] = d2[..., i] * rest
-                else:
-                    H[..., i, j] = d1[..., i] * d1[..., j] * rest
-        return H
 
 
 def hamiltonian_bump_translation(
@@ -168,14 +160,15 @@ def hamiltonian_bump_translation(
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return chi.grad(x) * (x @ L_grad)[..., None] + chi.value(x)[..., None] * L_grad
+        vchi, gchi = chi.jet(x, 1)
+        return gchi * (x @ L_grad)[..., None] + vchi[..., None] * L_grad
 
     def hess(x):
         # hess(chi) L + grad(chi) gradL^T + gradL grad(chi)^T
         x = np.asarray(x, dtype=float)
-        gchi = chi.grad(x)
+        _, gchi, hchi = chi.jet(x, 2)
         return (
-            chi.hess(x) * (x @ L_grad)[..., None, None]
+            hchi * (x @ L_grad)[..., None, None]
             + gchi[..., :, None] * L_grad[None, :]
             + L_grad[:, None] * gchi[..., None, :]
         )

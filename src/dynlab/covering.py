@@ -10,11 +10,11 @@ so the sampled checks cover the continuum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import LambdaOutOfRange, NoMetadata, StepLimit, Uncovered
 from .ifs import IFS, GeneratorBank, Word, apply_word
@@ -43,15 +43,11 @@ def cover_unit_ball(n: int, r: float) -> np.ndarray:
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     centers = np.stack([g.ravel() for g in mesh], axis=-1)
 
-    corner_axis = -1.0 + side * np.arange(m + 1)
-    mesh = np.meshgrid(*([corner_axis] * n), indexing="ij")
-    probes = np.concatenate(
-        [centers, np.stack([g.ravel() for g in mesh], axis=-1)], axis=0
-    )
-
-    # final verification: probes all covered
-    tree = cKDTree(centers)
-    dmax, _ = tree.query(probes, k=1, p=np.inf)
+    # final verification: the centers and corners are all covered. Both are
+    # product grids, so a probe's max-metric distance to the nearest center
+    # is the largest over its axes of the distance to the nearest axis value
+    probe_axis = np.concatenate([axis, -1.0 + side * np.arange(m + 1)])
+    dmax = np.min(np.abs(probe_axis[:, None] - axis), axis=1)
     assert np.max(dmax) <= r + 1e-9, "cover oracle failed self-check"
     return centers
 
@@ -342,12 +338,28 @@ def verify_well_distributed(
     fps = ifs.fixed_point_array()
     if len(fps) == 0:
         return False, region.center
-    centers = region.grid(d / 8.0)
-    tree = cKDTree(fps)
-    dist, _ = tree.query(centers, k=1, p=np.inf)
-    bad = dist >= d / 2.0
-    if np.any(bad):
-        return False, centers[int(np.nonzero(bad)[0][0])]
+    axes = region.grid_coords(d / 8.0)
+    shape = tuple(len(a) for a in axes)
+    # the centers a with |a - f| < d/2 on an axis are a window [lo, hi) of
+    # its increasing coordinates, as |a - f| is monotone on either side of
+    # f; a fixed point's ball holds the box of its windows
+    windows = []
+    for a, f in zip(axes, fps.T):
+        near = np.abs(a[None, :] - f[:, None]) < d / 2.0
+        lo = np.argmax(near, axis=1)
+        windows.append((lo, lo + near.sum(axis=1)))
+    # union of the boxes: +-1 at every box corner (an empty window's cancel),
+    # then running sums over each axis
+    marks = np.zeros(tuple(k + 1 for k in shape), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        at = tuple(w[c] for w, c in zip(windows, corner))
+        np.add.at(marks, at, (-1) ** sum(corner))
+    for axis in range(len(axes)):
+        marks = np.cumsum(marks, axis=axis)
+    bad = np.flatnonzero(marks[tuple(slice(k) for k in shape)] <= 0)
+    if bad.size:
+        at = np.unravel_index(bad[0], shape)
+        return False, np.array([a[i] for a, i in zip(axes, at)])
     return True, None
 
 

@@ -156,13 +156,9 @@ def run_geometric_blender(params: dict, seed: int, artifacts: dict) -> list[dict
     model = _symplectic_model()
     covrep = bl.verify_covering_geometric(model, grid_step=1 / 16)
     strips = bl.sample_strips(model, "s", params["strips"], params["min_radius"], seed)
-    res = [
-        bl.verify_strip_intersection(
-            model, s, covrep["fiber_cert"], 30, 1e-9,
-            fiber_cert_cu=covrep.get("fiber_cert_cu"),
-        )
-        for s in strips
-    ]
+    res = bl.verify_strips(
+        model, strips, covrep["fiber_cert"], 30, 1e-9, fiber_cert_cu=covrep.get("fiber_cert_cu")
+    )
     hits = sum(r["hit"] for r in res)
     artifacts["worst_depth"] = max((r.get("depth", 0) for r in res), default=0)
     witnesses = [r["final"] for r in res if r["hit"]]
@@ -313,13 +309,10 @@ def run_robustness_sweep(params: dict, seed: int, artifacts: dict) -> list[dict]
 
     def verifier(m, G):
         strips = bl.sample_strips(m, "s", params["strips"], 1 / 32, seed)
-        res = [
-            bl.verify_strip_intersection(
-                m, s, covrep["fiber_cert"], 30, eps=0.02, G=G,
-                fiber_cert_cu=covrep["fiber_cert_cu"],
-            )
-            for s in strips
-        ]
+        res = bl.verify_strips(
+            m, strips, covrep["fiber_cert"], 30, eps=0.02, G=G,
+            fiber_cert_cu=covrep["fiber_cert_cu"],
+        )
         return all(r["hit"] for r in res)
 
     from .perturb import robustness_sweep as sweep

@@ -119,7 +119,7 @@ class HorseshoeBase:
 
     # -- exact symbolic conjugacy -----------------------------------------
 
-    def u_from_itinerary(self, word, u_final: float = 0.5) -> float:
+    def u_from_itinerary(self, word, u_final: float) -> float:
         """u-coordinate whose forward itinerary starts with the word.
 
         u_final is the normalized coordinate handed to the tail (0.5 keeps
@@ -130,7 +130,7 @@ class HorseshoeBase:
             u = self.slab_lo[s] + u * self.height
         return u
 
-    def s_from_itinerary(self, word, s_final: float = 0.5) -> float:
+    def s_from_itinerary(self, word, s_final: float) -> float:
         """s-coordinate realizing the backward itinerary (word[0] = previous
         symbol, word[1] the one before, ...)."""
         s = float(s_final)

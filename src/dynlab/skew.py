@@ -223,41 +223,6 @@ def enumerate_unstable(
     return out
 
 
-def brute_force_unstable_level(
-    phi: SkewProduct, p: tuple[ShiftPoint, object], n: int
-) -> list[tuple[Word, object, ShiftPoint]]:
-    """Depth-n unstable piece by direct iteration: the image under n skew
-    steps of the local leaf of the n-fold preimage, one entry per free word.
-
-    Independent of the closed-form enumeration: only iterate_skew is used.
-    """
-    x, y = p
-    back, yb = iterate_skew(phi, (x, y), -n)
-    out = []
-    for sigma in _words(phi.d, n):
-        # a point of the local leaf of the preimage: base pinned on i <= 0,
-        # free symbols sigma at 1..n, x's own right side beyond
-        start = ShiftPoint(
-            back.d,
-            back.left_pre,
-            back.left_per,
-            tuple(sigma) + x.right_pre,
-            x.right_per,
-        )
-        fx, fy = iterate_skew(phi, (start, yb), n)
-        out.append((sigma, fy, fx))
-    return out
-
-
-def _words(d: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for w in _words(d, n - 1):
-        for s in range(d):
-            yield w + (s,)
-
-
 def project_unstable_equals_ifs(
     phi: SkewProduct,
     p: tuple[ShiftPoint, object],

@@ -244,9 +244,13 @@ class Box:
         counts = np.maximum(1, np.ceil(self.sides / step - 1e-12).astype(np.int64))
         return counts, self.sides / counts
 
-    def grid(self, step: float) -> np.ndarray:
-        """Cell-center grid of spacing <= step covering the box, shape (m, dim)."""
+    def grid_coords(self, step: float) -> list[np.ndarray]:
+        """Per-axis cell-center coordinates of the grid of spacing <= step."""
         counts, sides = self.grid_axes(step)
-        axes = [a + h * (np.arange(k) + 0.5) for a, h, k in zip(self.lo, sides, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        return [a + h * (np.arange(k) + 0.5) for a, h, k in zip(self.lo, sides, counts)]
+
+    def grid(self, step: float) -> np.ndarray:
+        """Cell-center grid of spacing <= step covering the box, shape (m, dim),
+        the product of grid_coords in row-major order."""
+        mesh = np.meshgrid(*self.grid_coords(step), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)

@@ -32,7 +32,6 @@ from dynlab.skew import (
     FiberMap,
     SkewProduct,
     affine_fiber,
-    brute_force_unstable_level,
     enumerate_unstable,
     project_unstable_equals_ifs,
     verify_symbolic_cs_blender,
@@ -46,6 +45,7 @@ from dynlab.twist import (
     shadow_chain,
     twist_map,
 )
+from oracles import brute_force_unstable_level
 
 
 def report(criterion: str, passed: bool, t0: float, detail: str = ""):

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 from dynlab.blender import (
     _ABORT,
     _BISECT_STEPS,
+    _PAD,
     _TREE_DEPTH,
     ConeField,
     _bisect_tree,
-    _replay_batch,
+    _replay,
     build_geometric_model,
     sample_strips,
     verify_cone_invariance,
     verify_covering_geometric,
     verify_double_blender,
     verify_strip_intersection,
+    verify_strips,
 )
 from dynlab.bumps import hamiltonian_bump_translation
 from dynlab.covering import backward_itinerary
@@ -220,6 +222,49 @@ def test_double_blender_both_directions(symplectic_model, symplectic_model_repor
     )
     assert rep["pass"]
     assert rep["s_hits"] == 25 and rep["u_hits"] == 25
+
+
+@pytest.mark.parametrize("eta_factor", [0.0, 0.3])
+def test_verify_strips_matches_each_strip_alone(symplectic_model, symplectic_model_report,
+                                                 eta_factor, monkeypatch):
+    # mixed s- and u-strips, a strip whose ball lies outside the certified
+    # region (decided before any replay), and an s-strip whose leaf lies
+    # above its slab: the exact replay breaks its itinerary at the last step,
+    # and no shot orbit of a perturbed map reaches it
+    import dynlab.blender as bl
+    from dynlab.blender import Strip
+
+    model = symplectic_model
+    rep0 = symplectic_model_report
+    F = model.as_map()
+    G = F if eta_factor == 0 else perturb_map(F, eta_factor * rep0["fiber_cert"].margin, seed=4)
+    space = model.region_cs.space
+    strips = sample_strips(model, "s", 5, 1 / 32, seed=31) + sample_strips(model, "u", 5, 1 / 32, seed=32)
+    mid = model.base.slab_lo[1] + 0.5 * model.base.height
+    strips.insert(3, Strip("s", 1, mid, Box.ball(space, [3.0], 0.05), np.array([0.4])))
+    strips.insert(7, Strip("s", 0, 1.05, Box.ball(space, [0.4], 0.05), np.array([0.4])))
+    kw = dict(G=G, fiber_cert_cu=rep0["fiber_cert_cu"])
+    solves = []
+    monkeypatch.setattr(bl, "find_fixed_point", lambda *a: solves.append(a) or find_fixed_point(*a))
+    batch = verify_strips(model, strips, rep0["fiber_cert"], 30, 0.02, **kw)
+    assert len(solves) == (eta_factor > 0)  # once per call, not per strip
+    alone = [verify_strip_intersection(model, s, rep0["fiber_cert"], 30, 0.02, **kw) for s in strips]
+    for got, ref in zip(batch, alone):
+        assert got.keys() == ref.keys()
+        for key in ("hit", "reason", "witness_word", "residual", "depth"):
+            assert got.get(key) == ref.get(key)
+        if "final" in ref:
+            assert got["start"].tobytes() == ref["start"].tobytes()
+            assert got["final"].tobytes() == ref["final"].tobytes()
+            p = got["start"].copy()
+            for _ in got["witness_word"]:
+                p = G.raw(p)
+            assert p.tobytes() == got["final"].tobytes()
+    assert [r["hit"] for r in batch] == [i not in (3, 7) for i in range(len(strips))]
+    assert "outside the certified region" in batch[3]["reason"]
+    broke = "itinerary broke at step" if eta_factor == 0 else "shooting found no orbit"
+    assert batch[7]["reason"].startswith(broke)
+    assert verify_strips(model, [], rep0["fiber_cert"], 30, 0.02, **kw) == []
 
 
 def test_nested_ball_witnesses_accumulate(symplectic_model, symplectic_model_report):
@@ -555,28 +600,41 @@ def single_model():
 
 @pytest.mark.parametrize("which", ["symplectic", "trig-field"])
 def test_replay_batch_equals_its_rows(symplectic_model, which):
-    # rows that break at step 0 (in a gap or in the wrong slab), mid
-    # itinerary (into a gap or a wrong slab) or never, under a perturbed map
+    # rows that break at step 0 (in a gap or in the wrong slab), mid word
+    # (into a gap or a wrong slab) or never, each along its own word, under
+    # a perturbed map
     model = symplectic_model if which == "symplectic" else single_model()
     G = perturb_map(model.as_map(), 1e-4, seed=3)
     assert G.symplectic == (which == "symplectic")
     base = model.base
-    itinerary = (1, 0, 2, 2, 1, 0)
+    itineraries = [(1, 0, 2, 2, 1, 0), (2, 1), (0, 0, 1, 2, 2), (1,)]
     rng = np.random.default_rng(11)
-    m = len(itinerary)
-    rows = []
+    rows, words = [], []
     for i in range(80):
-        cut = (0, m, int(rng.integers(1, m)), int(rng.integers(0, m)))[i % 4]
+        itinerary = itineraries[int(rng.integers(len(itineraries)))]
+        m = len(itinerary)
+        cut = (0, m, int(rng.integers(1, m + 1)), int(rng.integers(0, m)))[i % 4]
         # the tail is a slab fraction, or a u in the gap below the first slab
         tail = rng.random() if i % 4 < 3 else rng.random() * base.slab_lo[0]
         u = base.u_from_itinerary(itinerary[:cut], tail)
         rows.append([rng.random(), u, *rng.uniform(0.0, 1.0, model.dim - 2)])
+        words.append(itinerary)
     P = np.array(rows)
-    k, Q = _replay_batch(base, G, P, itinerary)
+    m = np.array([len(w) for w in words])
+    W = np.full((len(P), m.max()), _PAD)
+    for r, w in enumerate(words):
+        W[r, : len(w)] = w
+    k, Q = _replay(base, G, P, W)
     assert (k == 0).sum() >= 5 and ((k > 0) & (k < m)).sum() >= 5 and (k == m).sum() >= 5
+    assert len(set(m[k == m].tolist())) == len(itineraries)
     stopped = Q[k < m, :2]
     assert (base.rect_of(stopped) < 0).sum() >= 5 and (base.rect_of(stopped) >= 0).sum() >= 5
     for r in range(len(P)):
-        k1, Q1 = _replay_batch(base, G, P[r : r + 1], itinerary)
+        k1, Q1 = _replay(base, G, P[r : r + 1], np.asarray(words[r])[None])
         assert k1[0] == k[r]
         assert np.array_equal(Q1[0], Q[r])
+        # and step by step through the map, one point at a time
+        p, t = P[r].copy(), 0
+        while t < m[r] and base.rect_of(p[:2]) == words[r][t]:
+            p, t = G.raw(p), t + 1
+        assert t == k[r] and p.tobytes() == Q[r].tobytes()

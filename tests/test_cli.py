@@ -101,6 +101,16 @@ def test_console_entry_point(tmp_path):
     assert len(proc.stdout.strip().splitlines()) == 11
 
 
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dynlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_failed_check_exit_code(tmp_path):
     # an impossible link budget makes the chain check fail: exit 1
     p = write_config(

@@ -108,6 +108,68 @@ def test_well_distributed_dense_grid_passes():
     assert ok is True
 
 
+class _FixedPoints:
+    """verify_well_distributed reads nothing of an IFS but its fixed points."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+
+    def fixed_point_array(self):
+        return self.points
+
+
+def _well_distributed_reference(fps, region, d):
+    """Brute force: each grid center's max-metric distance to every fixed
+    point; a center is uncovered when the nearest is d/2 or farther."""
+    centers = region.grid(d / 8.0)
+    dist = np.max(np.abs(centers[:, None, :] - fps[None, :, :]), axis=-1).min(axis=1)
+    bad = np.flatnonzero(dist >= d / 2.0)
+    return (False, centers[bad[0]]) if bad.size else (True, None)
+
+
+def test_well_distributed_matches_brute_force():
+    # dyadic boxes, diameters and offsets, so fixed points sit exactly d/2
+    # from grid centers on some axes as well as at random places
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        space = StateSpace(tuple(Interval(-4.0, 4.0) for _ in range(n)))
+        lo = rng.integers(-8, 8, n) / 8.0
+        region = Box(space, lo, lo + rng.integers(1, 5, n) / 8.0)
+        d = 2.0 ** -int(rng.integers(1, 3))
+        centers = region.grid(d / 8.0)
+        k = int(rng.integers(1, 2 * len(centers) ** 0.5 + 2)) * (1 + (n == 3))
+        fps = centers[rng.integers(len(centers), size=k)]
+        fps = fps + rng.choice([-d / 2, 0.0, d / 2, d / 4], size=fps.shape)
+        wild = rng.random(k) < 0.3
+        fps[wild] = rng.uniform(region.lo - d, region.hi + d, (int(wild.sum()), n))
+        ok, witness = verify_well_distributed(_FixedPoints(fps), region, d)
+        ref_ok, ref_witness = _well_distributed_reference(fps, region, d)
+        assert ok == ref_ok
+        assert (witness is None) == ok
+        if not ok:
+            assert witness.tobytes() == ref_witness.tobytes()
+        verdicts.append(ok)
+    assert 20 <= sum(verdicts) <= 130
+
+
+def test_well_distributed_ball_is_open():
+    # centers (k + 1/2)/32 of [0, 1] at d = 1/4: a fixed point exactly d/2
+    # = 8/64 from the first center leaves it uncovered, one ulp nearer does not
+    line = unit_interval_space(1)
+    region = Box(line, [0.0], [1.0])
+    d = 1 / 4
+    rest = np.arange(13 / 64, 1.0 + d, 1 / 16)
+    for first, covered in ((9 / 64, False), (np.nextafter(9 / 64, 0.0), True)):
+        fps = np.concatenate([[first], rest])[:, None]
+        ok, witness = verify_well_distributed(_FixedPoints(fps), region, d)
+        ref_ok, ref_witness = _well_distributed_reference(fps, region, d)
+        assert ok is covered and ref_ok is covered
+        if not covered:
+            assert witness.tolist() == ref_witness.tolist() == [1 / 64]
+
+
 def test_well_distributed_empty_fixed_points():
     line = unit_interval_space(1)
     ifs = IFS([affine_map(line, [[0.5]], [0.0])], Box(line, [0.0], [1.0]))

@@ -12,7 +12,6 @@ from dynlab.skew import (
     SkewProduct,
     _fiber_point_array,
     affine_fiber,
-    brute_force_unstable_level,
     enumerate_unstable,
     fiber_ifs,
     iterate_skew,
@@ -23,6 +22,7 @@ from dynlab.skew import (
     verify_symbolic_double_blender,
 )
 from dynlab.spaces import Box, unit_interval_space
+from oracles import brute_force_unstable_level
 
 
 def dyadic_skew():
