@@ -16,6 +16,7 @@ from .ifs import (
 from .covering import (
     CoveringCertificate,
     backward_itinerary,
+    certify_densities,
     certify_density,
     compute_d,
     construct_translations,

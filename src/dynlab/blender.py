@@ -19,7 +19,7 @@ import numpy as np
 
 from .covering import (
     CoveringCertificate,
-    certify_density,
+    certify_densities,
     compute_d,
     density_step_bound,
     verify_covering,
@@ -36,19 +36,8 @@ from .errors import (
 from .fixed_points import find_fixed_point
 from .horseshoe import HorseshoeBase
 from .ifs import IFS, Word, apply_word
-from .maps import SmoothMap
+from .maps import SmoothMap, by_index
 from .spaces import Box, StateSpace
-
-
-def _by_rect(maps: list[SmoothMap], idx: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
-    """maps[r].method on the rows of x whose index is r, one call per index
-    present; "jacobian" rows come out as (n, n) matrices."""
-    tail = x.shape[-1:] * (2 if method == "jacobian" else 1)
-    out = np.empty((len(x),) + tail)
-    for r in np.flatnonzero(np.bincount(idx, minlength=len(maps))).tolist():
-        rows = idx == r
-        out[rows] = getattr(maps[r], method)(x[rows])
-    return out
 
 
 @dataclass(eq=False)
@@ -105,10 +94,10 @@ class GeometricBlenderModel:
         b, y, z = self.split(p)
         i = self._rect_index(b)
         fb = self.base.apply(b, i)
-        parts = [fb, _by_rect(self.fibers_cs, i, y, "raw")]
+        parts = [fb, by_index(self.fibers_cs, i, y, "raw")]
         if z is not None:
             j = self.base.nearest_rect(fb[:, 1])
-            parts.append(_by_rect(self.fibers_cu, j, z, "raw"))
+            parts.append(by_index(self.fibers_cu, j, z, "raw"))
         return np.concatenate(parts, axis=-1).reshape(np.shape(p))
 
     def eval_inv(self, p) -> np.ndarray:
@@ -116,10 +105,10 @@ class GeometricBlenderModel:
         i = self.base.col_of_s(b[:, 0])
         if np.any(i < 0):
             raise ValueError("model inverse evaluated outside image columns")
-        parts = [self.base.apply_inv(b), _by_rect(self.fibers_cs, i, y, "invert")]
+        parts = [self.base.apply_inv(b), by_index(self.fibers_cs, i, y, "invert")]
         if z is not None:
             j = self.base.nearest_rect(b[:, 1])
-            parts.append(_by_rect(self.fibers_cu, j, z, "invert"))
+            parts.append(by_index(self.fibers_cu, j, z, "invert"))
         return np.concatenate(parts, axis=-1).reshape(np.shape(p))
 
     def jacobian(self, p) -> np.ndarray:
@@ -130,10 +119,10 @@ class GeometricBlenderModel:
         J = np.zeros((len(b), self.dim, self.dim))
         J[:, 0, 0] = self.base.mu_ss
         J[:, 1, 1] = self.base.mu_uu
-        J[:, 2 : 2 + ny, 2 : 2 + ny] = _by_rect(self.fibers_cs, i, y, "jacobian")
+        J[:, 2 : 2 + ny, 2 : 2 + ny] = by_index(self.fibers_cs, i, y, "jacobian")
         if z is not None:
             j = self.base.nearest_rect(self.base.apply(b, i)[:, 1])
-            J[:, 2 + ny :, 2 + ny :] = _by_rect(self.fibers_cu, j, z, "jacobian")
+            J[:, 2 + ny :, 2 + ny :] = by_index(self.fibers_cu, j, z, "jacobian")
         return J.reshape(np.shape(p) + (self.dim,))
 
     def as_map(self) -> SmoothMap:
@@ -277,22 +266,20 @@ def verify_covering_geometric(
     cert.well_distributed = wd
     cert.wd_witness = witness
 
+    # a leaf {(s, u)} x {y} of rectangle r meets F(R_gi x D): the u-range
+    # is full, the fiber goes through the image; r and u are drawn only to
+    # keep the leaves' random stream
     rng = np.random.default_rng(0)
-    leaf_ok = 0
-    iterate_ok = 0
+    ys = []
     for _ in range(_LEAF_SAMPLES):
-        r = int(rng.integers(model.k))
-        u = model.base.slab_lo[r] + rng.random() * model.base.height
-        y = model.region_cs.sample(rng)
-        gi = cert.assign(y)
-        # leaf {(s, u)} x {y} meets F(R_gi x D): u-range full, fiber via image
-        y_pull = model.fibers_cs[gi].invert(y)
-        if model.region_cs.contains(y_pull, tol=1e-9):
-            leaf_ok += 1
-            gi2 = cert.assign(y_pull)
-            y_pull2 = model.fibers_cs[gi2].invert(y_pull)
-            if model.region_cs.contains(y_pull2, tol=1e-9):
-                iterate_ok += 1
+        rng.integers(model.k)
+        rng.random()
+        ys.append(model.region_cs.sample(rng))
+    y = np.array(ys)
+    y_pull = by_index(model.fibers_cs, cert.assign(y), y, "invert")
+    y_pull = y_pull[model.region_cs.contains(y_pull, tol=1e-9)]
+    y_pull2 = by_index(model.fibers_cs, cert.assign(y_pull), y_pull, "invert")
+    leaf_ok, iterate_ok = len(y_pull), int(np.count_nonzero(model.region_cs.contains(y_pull2, tol=1e-9)))
 
     out = {
         "fiber_cert": cert,
@@ -404,10 +391,20 @@ def verify_strips(
     # and starts are exact
     exact = Gmap is model.as_map()
     P = model.fixed_point() if exact else find_fixed_point(Gmap, model.fixed_point()).point
+    # the density words of each side's strips, in one lockstep call
+    words: dict = {}  # strip index -> word or StepLimit
+    sides = [("s", model.fiber_ifs_cs, P[2 : 2 + model.ny], fiber_cert)]
+    if model.fibers_cu is not None and fiber_cert_cu is not None:
+        sides.append(("u", model.fiber_ifs_cu_inverted, P[2 + model.ny :], fiber_cert_cu))
+    for kind, ifs_of, seed, cert in sides:
+        at = [n for n, strip in enumerate(strips) if strip.kind == kind]
+        if at:
+            balls = [strips[n].fiber_ball for n in at]
+            words.update(zip(at, certify_densities(ifs_of(), seed, balls, depth, cert)))
     results: list[dict | None] = [None] * len(strips)
     pending = []  # (strip index, start, itinerary)
     for n, strip in enumerate(strips):
-        out = _strip_start(model, Gmap, exact, P, strip, fiber_cert, fiber_cert_cu, depth)
+        out = _strip_start(model, Gmap, exact, P, strip, words.get(n), fiber_cert_cu, depth)
         if isinstance(out, dict):
             results[n] = out
         else:
@@ -422,58 +419,19 @@ def verify_strips(
     return results
 
 
-def _strip_start(model, Gmap, exact, P, strip, fiber_cert, fiber_cert_cu, depth) -> tuple | dict:
-    """The strip's replay start and itinerary, or its result when it is
-    decided before any replay (no density word, or no shot orbit)."""
+def _strip_start(model, Gmap, exact, P, strip, word, fiber_cert_cu, depth) -> tuple | dict:
+    """The strip's replay start and itinerary from its density word, or its
+    result when it is decided before any replay (no density word, or no
+    shot orbit)."""
     base = model.base
     r0 = model.anchor
     ny = model.ny
-    try:
-        if strip.kind == "s":
-            word = certify_density(
-                model.fiber_ifs_cs(),
-                P[2 : 2 + ny],
-                strip.fiber_ball,
-                depth,
-                fiber_cert,
-            )
-            itinerary = word if word else (r0,)
-            # start on the unstable set of P: s and cs-fiber at the fixed
-            # point, u placed so the forward itinerary is the word and ends
-            # on the strip's leaf, cu-fiber pulled back so it ends at the
-            # strip's pinned level (expanding maps apply one symbol ahead,
-            # ending with the strip's own rectangle)
-            u0 = base.u_from_itinerary(itinerary, strip.level)
-            start = np.array([P[0], u0, *P[2 : 2 + ny]], dtype=float)
-            if model.nz:
-                chain = tuple(itinerary[1:]) + (strip.rect,)
-                z0 = _pull_through(model.fibers_cu, chain, strip.other_level)
-                start = np.concatenate([start, z0])
-        else:
-            if model.fibers_cu is None:
-                raise NotInvertible("u-strip test needs expanding fibers")
-            if fiber_cert_cu is None:
-                raise Uncovered("u-strip test needs the cu fiber certificate", None)
-            ifs_inv = model.fiber_ifs_cu_inverted()
-            word = certify_density(
-                ifs_inv,
-                P[2 + ny :],
-                strip.fiber_ball,
-                depth,
-                fiber_cert_cu,
-            )
-            itinerary = (strip.rect,) + tuple(reversed(word))
-            # start on the strip: s pinned at the strip level, u chosen so
-            # the forward itinerary unwinds the word (next-symbol indexing
-            # makes the expanding chain cancel it exactly) and then parks in
-            # the anchor rectangle, where the cu fiber sits at the fixed point
-            u0 = base.u_from_itinerary(itinerary, P[1])
-            z_start = apply_word(ifs_inv.generators, word, P[2 + ny :])
-            y_start = strip.other_level
-            if y_start is None:
-                y_start = model.region_cs.center
-            start = np.concatenate([[strip.level, u0], np.atleast_1d(y_start), z_start])
-    except StepLimit as e:
+    if strip.kind == "u":
+        if model.fibers_cu is None:
+            raise NotInvertible("u-strip test needs expanding fibers")
+        if fiber_cert_cu is None:
+            raise Uncovered("u-strip test needs the cu fiber certificate", None)
+    if isinstance(word, StepLimit):
         # distinguish an under-budgeted search (diagnosable from the
         # contraction rate) from a genuine miss
         ifs_side = model.fiber_ifs_cs() if strip.kind == "s" else model.fiber_ifs_cu_inverted()
@@ -482,11 +440,36 @@ def _strip_start(model, Gmap, exact, P, strip, fiber_cert, fiber_cert_cu, depth)
         bound = density_step_bound(
             max(strip.fiber_ball.radius, 1e-12), 2 * region_side.radius, lip
         ) + 8
-        if depth < bound and "outside the certified region" not in str(e):
+        if depth < bound and "outside the certified region" not in str(word):
             raise DepthExhausted(
                 f"depth {depth} is below the analytic bound {bound}", depth_bound=bound
-            ) from e
-        return {"hit": False, "reason": str(e), "witness_word": None}
+            ) from word
+        return {"hit": False, "reason": str(word), "witness_word": None}
+    if strip.kind == "s":
+        itinerary = word if word else (r0,)
+        # start on the unstable set of P: s and cs-fiber at the fixed
+        # point, u placed so the forward itinerary is the word and ends
+        # on the strip's leaf, cu-fiber pulled back so it ends at the
+        # strip's pinned level (expanding maps apply one symbol ahead,
+        # ending with the strip's own rectangle)
+        u0 = base.u_from_itinerary(itinerary, strip.level)
+        start = np.array([P[0], u0, *P[2 : 2 + ny]], dtype=float)
+        if model.nz:
+            chain = tuple(itinerary[1:]) + (strip.rect,)
+            z0 = _pull_through(model.fibers_cu, chain, strip.other_level)
+            start = np.concatenate([start, z0])
+    else:
+        itinerary = (strip.rect,) + tuple(reversed(word))
+        # start on the strip: s pinned at the strip level, u chosen so
+        # the forward itinerary unwinds the word (next-symbol indexing
+        # makes the expanding chain cancel it exactly) and then parks in
+        # the anchor rectangle, where the cu fiber sits at the fixed point
+        u0 = base.u_from_itinerary(itinerary, P[1])
+        z_start = apply_word(model.fiber_ifs_cu_inverted().generators, word, P[2 + ny :])
+        y_start = strip.other_level
+        if y_start is None:
+            y_start = model.region_cs.center
+        start = np.concatenate([[strip.level, u0], np.atleast_1d(y_start), z_start])
 
     if not exact:
         # perturbed base dynamics amplify start errors along the unstable

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaOutOfRange, NoMetadata, StepLimit, Uncovered
-from .ifs import IFS, GeneratorBank, Word, apply_word
-from .maps import SmoothMap
+from .ifs import IFS, GeneratorBank, Word
+from .maps import SmoothMap, by_index
 from .spaces import Box
 
 INSIDE_TOL = 1e-12
@@ -61,9 +61,10 @@ def translation_count(n: int, lam: float) -> int:
 # image-inclusion oracle
 # ---------------------------------------------------------------------------
 
-def _diag_image_boxes(gens: list[SmoothMap], source: Box) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact image boxes (lo, hi), each (len(gens), n), of the source under
-    positive-diagonal affine generators; None unless every one is such."""
+def _diag_image_boxes(gens: list[SmoothMap], source: Box) -> tuple[np.ndarray, ...] | None:
+    """Exact image boxes (lo, hi) of the source under positive-diagonal
+    affine generators, followed by their diagonals a and offsets b, all
+    (len(gens), n); None unless every generator is such."""
     if any(g.affine is None for g in gens):
         return None
     A = np.array([g.affine[0] for g in gens])
@@ -71,7 +72,7 @@ def _diag_image_boxes(gens: list[SmoothMap], source: Box) -> tuple[np.ndarray, n
     a = np.diagonal(A, axis1=1, axis2=2)
     if not (np.array_equal(A, np.where(np.eye(A.shape[-1], dtype=bool), A, 0.0)) and np.all(a > 0)):
         return None
-    return source.lo * a + b, source.hi * a + b
+    return source.lo * a + b, source.hi * a + b, a, b
 
 
 def _slack(
@@ -203,18 +204,20 @@ class CoveringCertificate:
     def valid(self) -> bool:
         return self.margin > 0
 
-    def cell_of(self, x) -> int:
+    def cell_of(self, x) -> int | np.ndarray:
+        """C-order index of the grid cell holding x (clamped), per row of (m, n) points."""
         x = np.asarray(x, dtype=float)
         idx = np.floor((x - self.region.lo) / self.axis_steps).astype(int)
         idx = np.clip(idx, 0, self.axis_counts - 1)
-        flat = 0
-        for a in range(len(idx)):
-            flat = flat * self.axis_counts[a] + idx[a]
-        return int(flat)
+        flat = idx[..., 0]
+        for a in range(1, len(self.axis_counts)):
+            flat = flat * self.axis_counts[a] + idx[..., a]
+        return int(flat) if np.ndim(flat) == 0 else flat
 
-    def assign(self, x) -> int:
-        """Covering generator for the cell containing x."""
-        return int(self.assignment[self.cell_of(x)])
+    def assign(self, x) -> int | np.ndarray:
+        """Covering generator for the cell containing x, per row of (m, n) points."""
+        gi = self.assignment[self.cell_of(x)]
+        return int(gi) if np.ndim(gi) == 0 else gi
 
 
 def verify_covering(
@@ -429,97 +432,130 @@ def backward_itinerary(
     return tuple(word)
 
 
-def _pullback_box(gen: SmoothMap, region: Box, box: Box) -> Box:
-    """An inner box of gen^-1(box intersect gen(region)) intersect region.
+def _pullback_boxes(
+    gens: list[SmoothMap], gi: np.ndarray, region: Box, lo: np.ndarray, hi: np.ndarray, diag
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, left): for each row j, an inner box of
+    gens[gi[j]]^-1([lo[j], hi[j]] intersect gens[gi[j]](region)) intersect
+    region, and whether it is empty (the pullback left the region).
 
-    Positive-diagonal affine generators get the exact pullback; general
-    generators get the inscribed ball around the pulled-back center, whose
-    radius grows by at least 1/lip.
+    diag is _diag_image_boxes(gens, region). A family of positive-diagonal
+    affine generators gets the exact pullback. Any other family gets the
+    inscribed ball around the pulled-back center, whose radius grows by at
+    least 1/lip; each generator present inverts its rows in one call.
     """
-    diag = _diag_image_boxes([gen], region)
     if diag is not None:
-        img_lo, img_hi = diag[0][0], diag[1][0]
-        a = np.diag(gen.affine[0])
-        b = gen.affine[1]
-        lo = (np.maximum(box.lo, img_lo) - b) / a
-        hi = (np.minimum(box.hi, img_hi) - b) / a
-        lo = np.maximum(lo, region.lo)
-        hi = np.minimum(hi, region.hi)
-        if np.any(hi < lo):
-            raise StepLimit("pullback left the certified region")
-        return Box(region.space, lo, hi)
-    c = np.asarray(box.center, dtype=float)
-    clear = float(box.clearance(c))
-    pulled_c = gen.invert(c)
-    rho = clear / gen.lip
-    return Box.ball(region.space, pulled_c, rho).intersect(region)
+        img_lo, img_hi, a, b = (v[gi] for v in diag)
+        lo = np.maximum((np.maximum(lo, img_lo) - b) / a, region.lo)
+        hi = np.minimum((np.minimum(hi, img_hi) - b) / a, region.hi)
+    else:
+        c = 0.5 * (lo + hi)
+        rho = (np.minimum(c - lo, hi - c).min(axis=-1) / np.array([gens[i].lip for i in gi.tolist()]))[:, None]
+        pulled = by_index(gens, gi, c, "invert")
+        lo, hi = np.maximum(pulled - rho, region.lo), np.minimum(pulled + rho, region.hi)
+    return lo, hi, (hi < lo).any(axis=-1)
 
 
-def certify_density(
-    ifs: IFS,
-    seed,
-    target: Box,
-    max_steps: int,
-    cert: CoveringCertificate,
-) -> Word:
-    """Word carrying the seed strictly inside the target ball.
+def _apply_words(gens: list[SmoothMap], words: list[Word], x: np.ndarray) -> np.ndarray:
+    """apply_word of each word to x, one row each, one call per symbol at each step."""
+    steps = max(map(len, words), default=0)
+    padded = np.array([w + (-1,) * (steps - len(w)) for w in words], dtype=np.intp).reshape(len(words), steps)
+    y = np.tile(np.asarray(x, dtype=float), (len(words), 1))
+    for t in range(steps):
+        on = np.flatnonzero(padded[:, t] >= 0)
+        y[on] = by_index(gens, padded[on, t], y[on], "__call__")
+    return y
+
+
+def certify_densities(
+    ifs: IFS, seed, targets: list[Box], max_steps: int, cert: CoveringCertificate
+) -> list[Word | StepLimit]:
+    """Word carrying the seed strictly inside each target ball, or the
+    StepLimit that explains why there is none.
 
     Backward construction: pull the target ball back through inverse
     generators chosen by the covering assignment of its center, the radius
     growing by at least 1/lip per step, until the pulled-back set either
     reaches the seed itself or surrounds a generator fixed point with room
     to spare; in the latter case a prefix of that generator contracts the
-    seed into the slack. The returned word is replay-validated.
+    seed into the slack. Every returned word is replay-validated.
+
+    The targets are pulled back in lockstep, one batched step for all; each
+    gets its word alone, as the seed test, capture and replay are per row
+    and the maps evaluate a batch as its rows.
     """
     if cert is None:
         raise Uncovered("covering certificate required", witness=None)
     seed = np.asarray(seed, dtype=float)
-    space = ifs.space
+    space, gens = ifs.space, ifs.generators
     region = cert.region
     fps = ifs.fixed_point_array()
-    _, lip = ifs.contraction_bounds()
+    ifs.contraction_bounds()  # NoMetadata without lam/lip bounds
+    center = np.array([t.center for t in targets]).reshape(len(targets), space.dim)
+    radius = np.array([t.radius for t in targets])
+    lo = np.maximum([t.lo for t in targets], region.lo).reshape(center.shape)
+    hi = np.minimum([t.hi for t in targets], region.hi).reshape(center.shape)
+    outside = (hi < lo).any(axis=-1)
+    out = [StepLimit("target ball lies outside the certified region") if o else None for o in outside.tolist()]
+    # the live rows: their targets, boxes, pullback symbols so far, and
+    # whether they are decided
+    live = np.flatnonzero(~outside)
+    lo, hi = lo[live], hi[live]
+    symbols = np.zeros((len(live), max_steps), dtype=np.intp)
+    done = np.zeros(len(live), dtype=bool)
 
-    def lands(word: Word) -> bool:
-        landed = apply_word(ifs.generators, word, seed)
-        return space.distance(landed, target.center) < target.radius
+    def settle(rows: np.ndarray, prefixes: list[Word]) -> None:
+        """A row's word is its prefix + its pullback symbols, last first, if it lands."""
+        words = [w + tuple(t) for w, t in zip(prefixes, symbols[rows, :step][:, ::-1].tolist())]
+        j = live[rows]
+        landed = space.distance(_apply_words(gens, words, seed), center[j]) < radius[j]
+        for i, w in zip(j[landed].tolist(), itertools.compress(words, landed)):
+            out[i] = w
+        done[rows[landed]] = True
 
-    lo = np.maximum(target.lo, region.lo)
-    hi = np.minimum(target.hi, region.hi)
-    if np.any(hi < lo):
-        raise StepLimit("target ball lies outside the certified region")
-    B = Box(space, lo, hi)
-    word_rev: list[int] = []
-    for _ in range(max_steps + 1):
-        if B.contains(seed, tol=1e-12):
-            word = tuple(reversed(word_rev))
-            if lands(word):
-                return word
+    diag = _diag_image_boxes(gens, region)
+    for step in range(max_steps + 1):
+        inside = np.flatnonzero(~done & ((seed >= lo - 1e-12) & (seed <= hi + 1e-12)).all(axis=-1))
+        if len(inside):
+            settle(inside, [()] * len(inside))
         # fixed-point capture: needs enough clearance that the seed can be
         # contracted into it by repeating that generator
-        clear = np.minimum(B.hi - fps, fps - B.lo).min(axis=1)
-        zi = int(np.argmax(clear))
-        if clear[zi] > 0.25 * B.radius:
-            z = fps[zi]
-            g = ifs.generators[zi]
-            prefix: list[int] = []
-            p = seed.copy()
-            ok = True
-            while space.distance(p, z) >= 0.9 * clear[zi]:
-                if len(prefix) + len(word_rev) > max_steps:
-                    ok = False
+        clear = np.minimum(hi[:, None] - fps, fps - lo[:, None]).min(axis=-1)
+        zi, room = clear.argmax(axis=1), clear.max(axis=1)
+        cap = np.flatnonzero(~done & (room > 0.25 * (0.5 * (hi - lo).max(axis=-1))))
+        if len(cap):
+            # the prefixes, in lockstep: row cap[i] repeats zi until the
+            # seed's image is within 0.9 room of its fixed point
+            p, going, prefix = np.tile(seed, (len(cap), 1)), np.arange(len(cap)), np.zeros(len(cap), dtype=int)
+            for k in itertools.count():
+                going = going[space.distance(p[going], fps[zi[cap[going]]]) >= 0.9 * room[cap[going]]]
+                if not len(going):
                     break
-                p = g(p)
-                prefix.append(zi)
-            if ok:
-                word = tuple(prefix) + tuple(reversed(word_rev))
-                if lands(word):
-                    return word
-        if len(word_rev) >= max_steps:
+                if k + step > max_steps:
+                    prefix[going] = -1
+                    break
+                p[going] = by_index(gens, zi[cap[going]], p[going], "__call__")
+                prefix[going] += 1
+            ok = prefix >= 0
+            settle(cap[ok], [(int(z),) * int(k) for z, k in zip(zi[cap[ok]], prefix[ok])])
+        if step == max_steps or done.all():
             break
-        gi = cert.assign(B.center)
-        B = _pullback_box(ifs.generators[gi], region, B)
-        word_rev.append(gi)
-    raise StepLimit(f"no capture within {max_steps} pullback steps")
+        if done.any():
+            live, lo, hi, symbols = live[~done], lo[~done], hi[~done], symbols[~done]
+        gi = cert.assign(0.5 * (lo + hi))
+        lo, hi, done = _pullback_boxes(gens, gi, region, lo, hi, diag)
+        symbols[:, step] = gi
+        for j in live[done].tolist():
+            out[j] = StepLimit("pullback left the certified region")
+    return [StepLimit(f"no capture within {max_steps} pullback steps") if w is None else w for w in out]
+
+
+def certify_density(ifs: IFS, seed, target: Box, max_steps: int, cert: CoveringCertificate) -> Word:
+    """certify_densities on a batch of one target; raises its StepLimit."""
+    word = certify_densities(ifs, seed, [target], max_steps, cert)[0]
+    if isinstance(word, StepLimit):
+        raise word
+    return word
 
 
 def density_step_bound(target_radius: float, region_diam: float, lip: float) -> int:

@@ -15,7 +15,7 @@ from . import blender as bl
 from . import fmu as fmu_mod
 from . import skew as sk
 from . import twist as tw
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, StepLimit
 from .horseshoe import HorseshoeBase
 from .ifs import IFS, forward_orbit, minimality_experiment, recurrence_experiment
 from .maps import affine_map, check_symplectic
@@ -77,14 +77,12 @@ def run_ifs_density(params: dict, seed: int, artifacts: dict) -> list[dict]:
     checks = []
     for tag, ifs in (("dyadic", _dyadic_ifs()), ("triple", _triple_ifs())):
         cert = cov.verify_covering(ifs, ifs.domain_region, 1 / 16)
-        words = []
-        ok = True
-        for _ in range(params["targets"]):
-            c = rng.uniform(0.05, 0.95, 1)
-            word = cov.certify_density(ifs, [0.0], Box.ball(ifs.space, c, eps), 60, cert)
-            landed = ifs.apply_word(word, [0.0])
-            ok = ok and ifs.space.distance(landed, c) < eps
-            words.append(word)
+        centers = rng.uniform(0.05, 0.95, (params["targets"], 1))
+        words = cov.certify_densities(ifs, [0.0], [Box.ball(ifs.space, c, eps) for c in centers], 60, cert)
+        failed = [w for w in words if isinstance(w, StepLimit)]
+        if failed:
+            raise failed[0]
+        ok = all(ifs.space.distance(ifs.apply_word(w, [0.0]), c) < eps for w, c in zip(words, centers))
         checks.append(
             {
                 "name": f"density-{tag}",

@@ -21,7 +21,7 @@ import numpy as np
 from .bumps import AxisRamp, hamiltonian_bump_translation
 from .errors import ScheduleTooSmall
 from .horseshoe import HorseshoeBase
-from .ifs import _explore, _root
+from .ifs import _explore, _roots
 from .maps import SmoothMap, compose
 from .spaces import Box, StateSpace
 from .twist import conjugating_shear
@@ -268,21 +268,20 @@ def depth_from_diameter(base: HorseshoeBase, L: float) -> int:
     return int(math.floor(math.log(L / base.height) / math.log(base.mu_uu)))
 
 
-def word_into(
-    maps: list[SmoothMap],
-    seed: np.ndarray,
-    target: Box,
-    depth: int,
-    eps: float,
-) -> tuple[int, ...] | None:
-    """Breadth-first word search carrying the seed into the target box.
+def words_into(maps: list[SmoothMap], seeds, target: Box, depth: int, eps: float) -> list[tuple[int, ...] | None]:
+    """Breadth-first word search carrying each seed into the target box.
 
-    One search of the orbit core (``ifs._explore``) with one target:
-    frontier deduplicated on an eps-grid of the (compact) space; generators
-    apply in index order and images are visited generator-major, in frontier
-    order, so the first hit, and the word returned, are deterministic.
+    One lockstep search of the orbit core (``ifs._explore``), every seed a
+    root: each seed gets the deterministic word of a search from it alone,
+    deduplicated on an eps-grid of the (compact) space.
     """
-    return _explore(maps, _root(maps[0].domain, seed, eps), depth, targets=[target])[0]
+    found = _explore(maps, _roots(maps[0].domain, seeds, eps), depth, math.inf, targets=[target], region=None)
+    return [words[0] for words in found]
+
+
+def word_into(maps: list[SmoothMap], seed, target: Box, depth: int, eps: float) -> tuple[int, ...] | None:
+    """words_into on a batch of one seed."""
+    return words_into(maps, [seed], target, depth, eps)[0]
 
 
 def itinerary_for_word(schedule: BlockSchedule, word: tuple[int, ...]) -> tuple[int, ...]:
@@ -316,9 +315,9 @@ def almost_minimality_experiment(
     depth = depth_from_diameter(fmu.base, L)
     target = fmu.blender_ball
     samples = np.atleast_2d(np.asarray(fiber_samples, dtype=float))
-    fwd_words = [word_into(fmu.minimality_maps, q, target, depth, eps / 2) for q in samples]
+    fwd_words = words_into(fmu.minimality_maps, samples, target, depth, eps / 2)
     inv_bwd = [m.inverse or m for m in fmu.minimality_maps_bwd]
-    bwd_words = [word_into(inv_bwd, q, target, depth, eps / 2) for q in samples]
+    bwd_words = words_into(inv_bwd, samples, target, depth, eps / 2)
     connected = [f is not None and b is not None for f, b in zip(fwd_words, bwd_words)]
 
     replays = []

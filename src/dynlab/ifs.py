@@ -13,16 +13,18 @@ the parent pointers back to the seed, so memory is O(cells), not
 O(cells * depth). Cells are marked on a dense boolean grid of at most
 2**24 cells (``CellSet``), so a level costs time in proportion to its images.
 
-One search, ``_explore``, serves orbit coverage, ``fmu.word_into`` and the
-symbolic blender. Each level evaluates every generator once on the whole
-(canonical) frontier, canonicalizes the images once and visits them
-generator-major, in frontier order; the first image in an unoccupied cell
-is stored and expanded at the next level. A target box gets the word of the
-first visited point inside it (the seed first, occupied cell or not); the
-search ends at the image that hits the last target, without storing its
-batch. Images outside a region (tol 1e-12) are dropped, neither visited nor
-charged to the budget; the seed is expanded wherever it lies. Without a
-region each level checks its frontier against the space's intervals.
+One search, ``_explore``, serves orbit coverage, ``fmu.words_into`` and the
+symbolic blender. It runs any number of roots (seeds) in lockstep, each
+with its own cells, budget and targets, as if alone. Each level evaluates
+every generator once on the whole (canonical) frontier of every root,
+canonicalizes the images once and visits them generator-major, in frontier
+order; the first image in a cell its root has not occupied is stored and
+expanded at the next level. A target box gets the word of the first visited
+point inside it (the seed first, occupied cell or not); a root's search ends
+at the image that hits its last target, without storing its batch. Images
+outside a region (tol 1e-12) are dropped, neither visited nor charged to
+the budget; the seed is expanded wherever it lies. Without a region each
+level checks its frontier against the space's intervals.
 """
 
 from __future__ import annotations
@@ -293,53 +295,57 @@ class CellSet:
     proportion to its batch, not to the cells already stored. The box starts
     as the space's own grid. Keys come from ``cell_index``, whose circle keys
     are always on the grid; an interval key off it, such as the cell of an
-    image that left an interval factor, grows the box. A box of more than
-    2**24 cells raises DynlabError.
+    image that left an interval factor, grows the box. ``roots`` independent
+    sets share the grid: the root index is the leading axis of the packed
+    code, so the same key of two roots is two cells. A grid of more than
+    2**24 cells over all roots raises DynlabError.
     """
 
-    def __init__(self, space: StateSpace, eps: float):
+    def __init__(self, space: StateSpace, eps: float, roots: int = 1):
         self._intervals = [i for i, f in enumerate(space.factors) if isinstance(f, Interval)]
+        self.roots = roots
         self.seen = None
         self._set_box(*space.cell_range(eps))
 
     def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Take the box [lo, hi] of keys, keeping the cells seen so far."""
         shape = tuple(int(h) - int(l) + 1 for l, h in zip(lo, hi))
-        if math.prod(shape) > 2**24:
-            raise DynlabError(f"cell keys span more than 2**24 cells: box {shape}")
-        seen = np.zeros(shape, dtype=bool)
+        if self.roots * math.prod(shape) > 2**24:
+            raise DynlabError(f"cell keys of {self.roots} root(s) span more than 2**24 cells: box {shape}")
+        seen = np.zeros((self.roots,) + shape, dtype=bool)
         if self.seen is not None:
-            seen[tuple(slice(a, a + n) for a, n in zip(self.lo - lo, self.shape))] = self.seen.reshape(self.shape)
+            at = (slice(None),) + tuple(slice(a, a + n) for a, n in zip(self.lo - lo, self.shape))
+            seen[at] = self.seen.reshape((self.roots,) + self.shape)
         self.lo, self.hi, self.shape, self.seen = lo, hi, shape, seen.ravel()
-        # the least row of each unseen cell in a batch; it stays at the int32
-        # max on every unseen cell, since a batch marks every cell it hits seen
-        self._first = np.full(seen.size, np.iinfo(np.int32).max, dtype=np.int32)
 
-    def _pack(self, keys: np.ndarray) -> np.ndarray:
-        code = keys[:, 0] - self.lo[0]
+    def _pack(self, keys: np.ndarray, root) -> np.ndarray:
+        code = root * self.shape[0] + (keys[:, 0] - self.lo[0])
         for i in range(1, len(self.shape)):
             code = code * self.shape[i] + (keys[:, i] - self.lo[i])
         return code
 
     def rows(self) -> np.ndarray:
-        """The keys in the set, in increasing lexicographic order."""
-        return np.stack(np.unravel_index(np.flatnonzero(self.seen), self.shape), axis=-1) + self.lo
+        """The keys of root 0, in increasing lexicographic order."""
+        first = self.seen[: math.prod(self.shape)]
+        return np.stack(np.unravel_index(np.flatnonzero(first), self.shape), axis=-1) + self.lo
 
-    def add_new(self, keys: np.ndarray) -> np.ndarray:
-        """Insert the keys not yet in the set. Returns, in increasing order,
-        the row index of the first occurrence of each newly inserted key."""
+    def add_new(self, keys: np.ndarray, root=0) -> np.ndarray:
+        """Insert the keys not yet in the set, row j into root root[j] (an
+        int array, or one int for every row). Returns, in increasing order,
+        the row index of the first occurrence of each newly inserted cell."""
         if not len(keys):
             return np.zeros(0, dtype=np.intp)
         if any(keys[:, i].min() < self.lo[i] or keys[:, i].max() > self.hi[i] for i in self._intervals):
             self._set_box(np.minimum(keys.min(axis=0), self.lo), np.maximum(keys.max(axis=0), self.hi))
-        codes = self._pack(keys)
+        codes = self._pack(keys, root)
         fresh = np.flatnonzero(~self.seen[codes])
-        codes = codes[fresh]
-        rows = fresh.astype(np.int32)
-        np.minimum.at(self._first, codes, rows)
-        first = self._first[codes] == rows
-        self.seen[codes[first]] = True
-        return fresh[first]
+        # sorted, code * m + row puts each cell's first row first: no scratch
+        # array over the grid is needed
+        m = len(fresh)
+        order = np.sort(codes[fresh] * m + np.arange(m))
+        first = np.diff(order // m, prepend=-1) != 0
+        self.seen[order[first] // m] = True
+        return fresh[np.sort(order[first] % m)]
 
 
 @dataclass(eq=False)
@@ -390,95 +396,132 @@ class ReachSet:
         return out
 
 
-def _root(space: StateSpace, seed, eps: float) -> ReachSet:
-    """The reach set of the seed alone, before any level is explored."""
-    seed = space.canonicalize(np.asarray(seed, dtype=float))
-    return ReachSet(
-        space=space,
-        eps=eps,
-        seed=seed,
-        keys=space.cell_index(seed[None], eps),
-        reps=seed[None],
-        parent=np.array([-1], dtype=np.intp),
-        symbol=np.array([-1], dtype=np.intp),
-        visited_count=1,
-        frontier=np.array([0], dtype=np.intp),
-    )
+def _roots(space: StateSpace, seeds, eps: float) -> list[ReachSet]:
+    """The reach set of each seed alone, before any level is explored."""
+    seeds = space.canonicalize(np.asarray(seeds, dtype=float).reshape(-1, space.dim))
+    keys, root = space.cell_index(seeds, eps), np.array([-1], dtype=np.intp)
+    return [
+        ReachSet(space, eps, x, keys[i, None], seeds[i, None], root, root, 1, frontier=np.array([0], dtype=np.intp))
+        for i, x in enumerate(seeds)
+    ]
 
 
 def _explore(
     generators: list[SmoothMap],
-    reach: ReachSet,
+    reaches: list[ReachSet],
     extra_depth: int,
-    budget: float = math.inf,
+    budget: float,
     *,
-    targets: Sequence[Box] = (),
-    region: Box | None = None,
-) -> list[Word | None]:
-    """The search of the module docstring, continued from the reach set's
-    frontier for extra_depth more levels with the budget rules of
-    ``extend_orbit``. Returns each target's word, None if not hit."""
-    space, eps = reach.space, reach.eps
-    cells = CellSet(space, eps)
-    cells.add_new(reach.keys)
-    keys, reps, parent, symbol = [reach.keys], [reach.reps], [reach.parent], [reach.symbol]
-    n = len(reach.keys)
-    visited, truncated, depth = reach.visited_count, reach.truncated, reach.depth_reached
-    frontier = reach.frontier
-    pts = reach.reps[frontier]
-    # hits[t] = (row, tail): target t's word is row's witness word + tail;
-    # open_ lists the targets not hit yet, lo and hi their corners
-    lo = np.array([t.lo for t in targets]).reshape(len(targets), 1, space.dim)
-    hi = np.array([t.hi for t in targets]).reshape(len(targets), 1, space.dim)
-    seeded = ((reach.seed >= lo) & (reach.seed <= hi)).all(axis=-1)[:, 0]
-    hits: list[tuple[int, Word] | None] = [(0, ()) if h else None for h in seeded.tolist()]
-    open_, lo, hi = np.flatnonzero(~seeded), lo[~seeded], hi[~seeded]
-    for level in range(depth + 1, depth + extra_depth + 1):
-        if not len(frontier) or (targets and not len(open_)):
+    targets: Sequence[Box],
+    region: Box | None,
+) -> list[list[Word | None]]:
+    """The search of the module docstring from each reach set's frontier,
+    for extra_depth more levels with the budget rules of ``extend_orbit``.
+    Returns, per root, each target's word (None if not hit). The roots share
+    one CellSet, its code led by the root index, and a frontier stacked root
+    by root; a root leaves once it hits its last target or truncates.
+    """
+    space, eps = reaches[0].space, reaches[0].eps
+    R, T = len(reaches), len(targets)
+    n = np.array([len(r.keys) for r in reaches])  # rows per root
+    # every stored row, in pieces: its root, key, representative, parent (a
+    # row of its root) and symbol
+    stored = [np.repeat(np.arange(R), n)], *(
+        [np.concatenate([getattr(r, f) for r in reaches])] for f in ("keys", "reps", "parent", "symbol")
+    )
+    cells = CellSet(space, eps, R)
+    cells.add_new(stored[1][0], stored[0][0])
+    visited = np.array([r.visited_count for r in reaches])
+    truncated = np.array([r.truncated for r in reaches])
+    levels = np.zeros(R, dtype=int)  # levels explored by this call
+    # the frontier, stacked root by root: each point's root, row and point;
+    # after a level, a root's frontier is its rows from f_start on
+    f_root = np.repeat(np.arange(R), [len(r.frontier) for r in reaches])
+    f_row = np.concatenate([r.frontier for r in reaches])
+    pts = np.concatenate([r.reps[r.frontier] for r in reaches])
+    f_start = n.copy()
+    # hits[r, t] = (row, tail): target t's word from root r is the row's
+    # witness word + tail; open_[r, t] marks the targets root r has not hit
+    lo = np.array([t.lo for t in targets]).reshape(T, 1, space.dim)
+    hi = np.array([t.hi for t in targets]).reshape(T, 1, space.dim)
+    seeds = np.array([r.seed for r in reaches])
+    open_ = ~((seeds >= lo) & (seeds <= hi)).all(axis=-1).T
+    hits: dict[tuple[int, int], tuple[int, Word]] = {(r, t): (0, ()) for r, t in zip(*np.nonzero(~open_))}
+    alive = np.ones(R, dtype=bool)
+    for _ in range(extra_depth):
+        alive &= (np.bincount(f_root, minlength=R) > 0) & (open_.any(axis=1) | (T == 0))
+        if not alive.any():
             break
+        keep = alive[f_root]
+        f_root, f_row, pts = f_root[keep], f_row[keep], pts[keep]
         if region is None:
             space.check_inside(pts)
-        level_start, level_chunk = n, len(reps)
+        going = alive & ~truncated
+        mark = len(stored[0])  # the level's pieces start here
         for gi, g in enumerate(generators):
-            if truncated:
+            if not going.any():
                 break
-            images, rows = space.canonicalize(g.raw(pts)), frontier
+            take = going[f_root]
+            images, roots, rows = space.canonicalize(g.raw(pts[take])), f_root[take], f_row[take]
             if region is not None:
                 kept = region.contains(images, tol=1e-12)
-                images, rows = images[kept], rows[kept]
-            take = max(0, min(len(images), budget - visited))
-            if take < len(images):
-                truncated = True
-                images, rows = images[:take], rows[:take]
-            visited += take
-            if len(open_) and len(images):
-                inside = ((images >= lo) & (images <= hi)).all(axis=-1)
-                got = inside.any(axis=1)
-                if got.any():
-                    for t, j in zip(open_[got].tolist(), inside[got].argmax(axis=1).tolist()):
-                        hits[t] = (int(rows[j]), (gi,))
-                    open_, lo, hi = open_[~got], lo[~got], hi[~got]
-                    if not len(open_):
-                        break
+                images, roots, rows = images[kept], roots[kept], rows[kept]
+            # a root visits its images until its budget runs out
+            per_root = np.bincount(roots, minlength=R)
+            room = np.minimum(per_root, np.maximum(budget - visited, 0)).astype(int)
+            visited += room
+            cut = room < per_root
+            if cut.any():
+                truncated |= cut
+                going &= ~cut
+                rank = np.arange(len(roots)) - (np.cumsum(per_root) - per_root)[roots]
+                keep = rank < room[roots]
+                images, roots, rows = images[keep], roots[keep], rows[keep]
+            if T and len(images):
+                inside = ((images >= lo) & (images <= hi)).all(axis=-1) & open_[roots].T
+                t_hit, j_hit = np.nonzero(inside)
+                if len(t_hit):
+                    # each (target, root) pair takes its first image
+                    _, first = np.unique(t_hit * R + roots[j_hit], return_index=True)
+                    for t, j in zip(t_hit[first].tolist(), j_hit[first].tolist()):
+                        hits[int(roots[j]), t] = (int(rows[j]), (gi,))
+                        open_[roots[j], t] = False
+                    # a root that hit its last target stores nothing more
+                    done = ~open_.any(axis=1)
+                    keep = ~done[roots]
+                    if not keep.all():
+                        going &= ~done
+                        images, roots, rows = images[keep], roots[keep], rows[keep]
             image_keys = space.cell_index(images, eps)
-            new = cells.add_new(image_keys)
-            keys.append(image_keys[new])
-            reps.append(images[new])
-            parent.append(rows[new])
-            symbol.append(np.full(len(new), gi, dtype=np.intp))
-            n += len(new)
-        depth = level
-        frontier = np.arange(level_start, n, dtype=np.intp)
-        pts = np.concatenate(reps[level_chunk:]) if n > level_start else pts[:0]
-        if truncated:
-            break
-    reach.keys = np.concatenate(keys)
-    reach.reps = np.concatenate(reps)
-    reach.parent = np.concatenate(parent)
-    reach.symbol = np.concatenate(symbol)
-    reach.visited_count, reach.truncated, reach.depth_reached = visited, truncated, depth
-    reach.frontier = frontier
-    return [None if h is None else reach.word(h[0]) + h[1] for h in hits]
+            new = cells.add_new(image_keys, roots)
+            for part, values in zip(stored, (roots, image_keys, images, rows, np.full(len(roots), gi))):
+                part.append(values[new])
+        levels += alive
+        # the level's new rows, root by root, are the next frontier; they are
+        # numbered after each root's earlier rows
+        f_root = np.concatenate([f_root[:0], *stored[0][mark:]])
+        order = np.argsort(f_root, kind="stable")
+        f_root, pts = f_root[order], np.concatenate([pts[:0], *stored[2][mark:]])[order]
+        per_root = np.bincount(f_root, minlength=R)
+        f_row = n[f_root] + np.arange(len(f_root)) - (np.cumsum(per_root) - per_root)[f_root]
+        f_start = np.where(alive, n, f_start)
+        n += per_root
+        alive &= ~truncated
+    # each root's rows, in its own insertion order; the grid and each field's
+    # pieces are dropped as soon as they are used
+    order = np.argsort(np.concatenate(stored[0]), kind="stable")
+    parts = list(stored[1:])
+    del cells, stored
+    keys, reps, parent, symbol = (np.split(np.concatenate(parts.pop(0))[order], np.cumsum(n[:-1])) for _ in range(4))
+    words = []
+    for r, reach in enumerate(reaches):
+        reach.keys, reach.reps, reach.parent, reach.symbol = keys[r], reps[r], parent[r], symbol[r]
+        reach.visited_count, reach.truncated = int(visited[r]), bool(truncated[r])
+        reach.depth_reached += int(levels[r])
+        if levels[r]:
+            reach.frontier = np.arange(f_start[r], n[r], dtype=np.intp)
+        words.append([reach.word(hits[r, t][0]) + hits[r, t][1] if (r, t) in hits else None for t in range(T)])
+    return words
 
 
 def forward_orbit(
@@ -496,7 +539,7 @@ def forward_orbit(
     index order. When the cell-visit budget runs out the partial set is
     returned with truncated=True.
     """
-    return extend_orbit(ifs, _root(ifs.space, seed, eps), depth, budget)
+    return extend_orbit(ifs, _roots(ifs.space, seed, eps)[0], depth, budget)
 
 
 def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_000_000) -> ReachSet:
@@ -507,7 +550,7 @@ def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_00
     truncated is set. The reach set is updated only when the call returns,
     so a generator that raises leaves it as it was.
     """
-    _explore(ifs.generators, reach, extra_depth, budget)
+    _explore(ifs.generators, [reach], extra_depth, budget, targets=(), region=None)
     return reach
 
 
@@ -540,16 +583,19 @@ def minimality_experiment(
     Exploration runs at resolution eps/refine (one representative per fine
     cell undercounts the reachable coarse cells otherwise) and coverage is
     reported on the eps-grid. The space must be compact. The depth is the
-    budget, so the budget is the real limit.
+    budget, so the budget is the real limit; each seed has its own. Seeds
+    are explored in lockstep, each as forward_orbit explores it alone.
     """
-    seeds = np.atleast_2d(np.asarray(seed_grid, dtype=float))
     total = ifs.space.total_cells(eps)
-    per_seed = []
-    reaches = []
-    for s in seeds:
-        r = forward_orbit(ifs, s, depth=budget, eps=eps / refine, budget=budget)
-        per_seed.append(len(coarsen_cells(r, eps)) / total)
-        reaches.append(r)
+    reaches = _roots(ifs.space, seed_grid, eps / refine)
+    # an exploration to the end can fill its whole grid, so the seeds run in
+    # lockstep in groups whose grids hold 2**16 cells together, which bounds
+    # a group's levels and their temporaries
+    lo, hi = ifs.space.cell_range(eps / refine)
+    group = max(1, 2**16 // math.prod((hi - lo + 1).tolist()))
+    for i in range(0, len(reaches), group):
+        _explore(ifs.generators, reaches[i : i + group], budget, budget, targets=(), region=None)
+    per_seed = [len(coarsen_cells(r, eps)) / total for r in reaches]
     return {
         "per_seed_coverage": per_seed,
         "min_coverage": min(per_seed),

@@ -99,6 +99,19 @@ def evaluate(m: SmoothMap, x) -> np.ndarray:
     return m.codomain.canonicalize(m.fn(x))
 
 
+def by_index(maps: list[SmoothMap], idx: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
+    """maps[r].method on the rows of x whose index is r, one call per index
+    present; "jacobian" rows come out as (n, n) matrices."""
+    present = np.flatnonzero(np.bincount(idx, minlength=len(maps))).tolist()
+    if len(present) == 1:
+        return getattr(maps[present[0]], method)(x)
+    out = np.empty((len(x),) + x.shape[-1:] * (2 if method == "jacobian" else 1))
+    for r in present:
+        rows = idx == r
+        out[rows] = getattr(maps[r], method)(x[rows])
+    return out
+
+
 def fd_step(space: StateSpace, h: float | None) -> float:
     if h is not None:
         if h <= 0:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFixedPoint, NotInvertible
-from .ifs import IFS, CellSet, ReachSet, Word, _explore, _root, forward_orbit
+from .ifs import IFS, CellSet, ReachSet, Word, _explore, _roots, forward_orbit
 from .maps import SmoothMap, affine_map
 from .shifts import ShiftPoint, insert_word
 from .spaces import Box, StateSpace
@@ -300,9 +300,9 @@ def verify_symbolic_cs_blender(
     words: list[Word | None] = [None] * strip_samples
     gens = [f.smooth for f in phi.contracting]
     for dedup_eps, members in groups.items():
-        reach = _root(region.space, _fiber_point_array(y0), dedup_eps)
-        found = _explore(gens, reach, depth_max, targets=[strips[i][1] for i in members], region=region)
-        for i, word in zip(members, found):
+        reach = _roots(region.space, _fiber_point_array(y0), dedup_eps)
+        found = _explore(gens, reach, depth_max, np.inf, targets=[strips[i][1] for i in members], region=region)
+        for i, word in zip(members, found[0]):
             words[i] = word
     results = []
     for (sbase, _), word in zip(strips, words):

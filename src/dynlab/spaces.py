@@ -58,6 +58,7 @@ class StateSpace:
         circles = [i for i, f in enumerate(self.factors) if isinstance(f, Circle)]
         object.__setattr__(self, "_circles", circles)
         object.__setattr__(self, "_period", np.array([getattr(f, "period", np.nan) for f in self.factors]))
+        object.__setattr__(self, "_unit", all(self.factors[i].period == 1.0 for i in circles))
         # interval bounds per column (unbounded on circles), for check_inside
         object.__setattr__(self, "_lo", np.array([getattr(f, "lo", -np.inf) for f in self.factors]))
         object.__setattr__(self, "_hi", np.array([getattr(f, "hi", np.inf) for f in self.factors]))
@@ -82,12 +83,15 @@ class StateSpace:
         pass through. Canonical points are fixed, so canonicalizing twice
         changes nothing."""
         x = np.asarray(x, dtype=float)
+        # period 1 wraps as x - floor(x), np.mod's bits at a fraction of its
+        # cost; not x - floor(x/p)*p for other p (x/2 underflows at -5e-324)
         if len(self._circles) == self.dim:
-            out = np.mod(x, self._period)
+            out = x - np.floor(x) if self._unit else np.mod(x, self._period)
         else:
             out = x.copy()
             for i in self._circles:
-                out[..., i] = np.mod(x[..., i], self._period[i])
+                p = self._period[i]
+                out[..., i] = x[..., i] - np.floor(x[..., i]) if p == 1.0 else np.mod(x[..., i], p)
         if self._circles:
             # np.mod rounds a tiny negative coordinate up to the period itself
             out[out == self._period] = 0.0

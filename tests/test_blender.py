@@ -194,6 +194,26 @@ def test_strip_depth_exhausted_diagnosis(symplectic_model, symplectic_model_repo
     assert e.value.depth_bound > 2
 
 
+def test_verify_strips_raises_the_first_failing_strips_error(symplectic_model, symplectic_model_report):
+    # every s-strip's density word comes from one lockstep call, yet the
+    # strips are still decided in list order: a u-strip without its
+    # certificate (Uncovered) and a tiny s-strip below the analytic depth
+    # bound (DepthExhausted) raise whichever comes first
+    from dynlab.blender import Strip
+    from dynlab.errors import DepthExhausted, Uncovered
+
+    model = symplectic_model
+    space = model.region_cs.space
+    fine = Strip("s", 0, model.base.slab_lo[0] + 0.01, Box.ball(space, model.fixed_point()[2:3], 0.3), np.array([0.4]))
+    tiny = Strip("s", 0, model.base.slab_lo[0] + 0.01, Box.ball(space, [0.333], 1e-6), np.array([0.4]))
+    u = sample_strips(model, "u", 1, 1 / 32, seed=3)[0]
+    cert = symplectic_model_report["fiber_cert"]
+    assert verify_strips(model, [fine], cert, 2, 1e-9)[0]["hit"]
+    for strips, error in (([fine, u, tiny], Uncovered), ([fine, tiny, u], DepthExhausted)):
+        with pytest.raises(error):
+            verify_strips(model, strips, cert, 2, 1e-9)
+
+
 def test_strip_miss_in_gap_basin():
     base = HorseshoeBase.build(2, mu_ss=0.1, mu_uu=10.0)
     sp = wide_line()

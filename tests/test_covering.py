@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlab.covering import (
-    _pullback_box,
+    _pullback_boxes,
     _slack,
     backward_itinerary,
+    certify_densities,
     certify_density,
     compute_d,
     construct_translations,
@@ -17,12 +18,13 @@ from dynlab.covering import (
     verify_covering,
     verify_well_distributed,
 )
-from dynlab.errors import LambdaOutOfRange, NoConvergence, Uncovered
+from dynlab.errors import LambdaOutOfRange, NoConvergence, StepLimit, Uncovered
 from dynlab.fixed_points import find_fixed_point
 from dynlab.ifs import IFS, GeneratorBank
 from dynlab.maps import SmoothMap, affine_map
 from dynlab.perturb import perturb_ifs, perturb_map
 from dynlab.spaces import Box, Interval, StateSpace, unit_interval_space
+from oracles import scalar_certify_density
 
 
 def test_dyadic_pair_covers_with_split_assignment(dyadic_ifs):
@@ -200,8 +202,10 @@ def test_pullback_box_maps_into_its_target_under_a_shear():
     sq = unit_interval_space(2)
     gen = affine_map(sq, [[0.5, 0.1], [0.0, 0.5]], [0.2, 0.25])
     target = Box.ball(sq, gen([0.5, 0.5]), 0.05)
-    box = _pullback_box(gen, Box(sq, [0.0, 0.0], [1.0, 1.0]), target)
-    corners = box.lo + np.indices((2, 2)).reshape(2, -1).T * (box.hi - box.lo)
+    region = Box(sq, [0.0, 0.0], [1.0, 1.0])
+    lo, hi, left = _pullback_boxes([gen], np.array([0]), region, target.lo[None], target.hi[None], None)
+    assert not left[0]
+    corners = lo[0] + np.indices((2, 2)).reshape(2, -1).T * (hi[0] - lo[0])
     assert target.contains(gen.fn(corners), tol=1e-12).all()
 
 
@@ -460,6 +464,47 @@ def test_density_words_always_land(triple_ifs):
         word = certify_density(triple_ifs, [0.0], Box.ball(triple_ifs.space, c, r), 60, cert)
         landed = triple_ifs.apply_word(word, [0.0])
         assert triple_ifs.space.distance(landed, c) < r
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except StepLimit as e:
+        return type(e).__name__, str(e)
+
+
+def test_density_batch_rows_equal_each_target_alone(dyadic_ifs, symplectic_model, symplectic_model_report):
+    # dyadic halvings, the blender's fiber IFSs (contracting, and the
+    # inverted expanding side), and a perturbed bank (inscribed-ball
+    # pullbacks); targets inside and outside the region, one holding the
+    # seed, step budgets that run out, and a wrong certificate whose
+    # pullbacks leave the region
+    line = StateSpace((Interval(-1, 1),))
+    bank = construct_translations(affine_map(line, [[0.5]], [0.0]), 0.5, 0.3)
+    pert = perturb_ifs(bank, 0.025, seed=1)
+    model, rep = symplectic_model, symplectic_model_report
+    dyadic_cert = verify_covering(dyadic_ifs, dyadic_ifs.domain_region, 1 / 16)
+    cases = [
+        (dyadic_ifs, [0.0], dyadic_cert, (-0.2, 1.2)),
+        (dyadic_ifs, [0.3], replace(dyadic_cert, assignment=1 - dyadic_cert.assignment), (0.0, 1.0)),
+        (model.fiber_ifs_cs(), model.fixed_point()[2:3], rep["fiber_cert"], (-0.5, 1.5)),
+        (model.fiber_ifs_cu_inverted(), model.fixed_point()[3:], rep["fiber_cert_cu"], (-0.5, 1.5)),
+        (pert, [0.0], verify_covering(pert, bank.domain_region, 0.075), (-0.35, 0.35)),
+    ]
+    rng = np.random.default_rng(12)
+    seen = set()
+    for ifs, seed, cert, (a, b) in cases:
+        targets = [Box.ball(ifs.space, [c], r) for c, r in zip(rng.uniform(a, b, 40), 10.0 ** rng.uniform(-5, -0.5, 40))]
+        targets.append(Box.ball(ifs.space, seed, 0.05))
+        for steps in (2, 8, 40):
+            got = certify_densities(ifs, seed, targets, steps, cert)
+            got = [(type(w).__name__, str(w)) if isinstance(w, StepLimit) else w for w in got]
+            assert got == [_outcome(scalar_certify_density, ifs, seed, t, steps, cert) for t in targets]
+            assert got[:3] == [_outcome(certify_density, ifs, seed, t, steps, cert) for t in targets[:3]]
+            seen.update(w[1].split(" within")[0] if w and isinstance(w[0], str) else len(w) > 0 for w in got)
+    assert seen == {
+        True, False, "no capture", "target ball lies outside the certified region", "pullback left the certified region"
+    }
 
 
 def certified_systems():

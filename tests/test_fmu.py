@@ -11,6 +11,7 @@ from dynlab.fmu import (
     shear_family,
     weak_hyperbolicity_budget,
     word_into,
+    words_into,
 )
 from dynlab.horseshoe import HorseshoeBase
 from dynlab.ifs import CellSet
@@ -182,19 +183,22 @@ def cellset_word_into(maps, seed, target, depth, eps):
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
 def test_word_into_matches_reference(desk, mu):
+    # the lockstep search of every seed gives each seed its own word: the
+    # ball's center is a seed already inside, and depth 3 leaves seeds
+    # without a word
     base, sched, f2, pack, ball = desk
     fm = build_F_mu(base, f2, sched, mu, pack, blender_ball=ball, zeta=20.0)
     inv_bwd = [m.inverse for m in fm.minimality_maps_bwd]
     axis = np.linspace(0.03, 0.97, 12)
-    seeds = np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
-    found = 0
-    for eps in (1 / 64, 1 / 128):
+    seeds = np.concatenate([np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2), [[0.5, 0.5]]])
+    words = []
+    for eps, depth in ((1 / 64, 12), (1 / 128, 12), (1 / 128, 3)):
         for maps in (fm.minimality_maps, inv_bwd):
-            for q in seeds:
-                w = word_into(maps, q, ball, 12, eps)
-                assert w == cellset_word_into(maps, q, ball, 12, eps)
-                found += w is not None
-    assert found > 0
+            got = words_into(maps, seeds, ball, depth, eps)
+            assert got == [cellset_word_into(maps, q, ball, depth, eps) for q in seeds]
+            assert got[::29] == [word_into(maps, q, ball, depth, eps) for q in seeds[::29]]
+            words += got
+    assert () in words and None in words and any(words)
 
 
 def test_almost_minimality_small(desk):

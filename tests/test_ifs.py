@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlab.errors import DynlabError, PointOutsideDomain
-from dynlab.ifs import IFS, CellSet, _explore, _root, apply_word, extend_orbit, forward_orbit, replay_check
+from dynlab.ifs import (
+    IFS, CellSet, _explore, _roots, apply_word, extend_orbit, forward_orbit, minimality_experiment, replay_check,
+)
 from dynlab.maps import affine_map, identity_map
 from dynlab.reports import reachset_lines
 from dynlab.spaces import Box, Circle, Interval, StateSpace, annulus, torus, unit_interval_space
@@ -252,8 +254,11 @@ def test_every_target_gets_its_single_target_word(torus_pack_ifs):
     seed = np.array([0.3, 0.6])
     centers = np.random.default_rng(3).uniform(0.05, 0.95, (20, 2))
     targets = [Box.ball(t2, c, 0.01) for c in centers] + [Box.ball(t2, seed, 0.01)]
-    together = _explore(gens, _root(t2, seed, 1 / 64), 8, targets=targets)
-    assert together == [_explore(gens, _root(t2, seed, 1 / 64), 8, targets=[t])[0] for t in targets]
+    def search(targets):
+        return _explore(gens, _roots(t2, seed, 1 / 64), 8, np.inf, targets=targets, region=None)[0]
+
+    together = search(targets)
+    assert together == [search([t])[0] for t in targets]
     assert together[-1] == () and None in together
     assert {len(w) for w in together if w is not None} == {0, 5, 6, 7, 8}
     for w, t in zip(together, targets):
@@ -265,14 +270,33 @@ def test_region_search_expands_a_seed_outside_its_region(triple_ifs):
     # outside both and is still expanded; its image -0.25 is dropped, not
     # visited, and the search ends at the image 0.25 that hits its target
     line = triple_ifs.space
-    reach = _root(line, [-0.5], 1 / 16)
+    reach = _roots(line, [-0.5], 1 / 16)[0]
     words = _explore(
-        triple_ifs.generators, reach, 5, targets=[Box(line, [0.2], [0.3])], region=Box(line, [0.0], [1.0])
+        triple_ifs.generators, [reach], 5, np.inf, targets=[Box(line, [0.2], [0.3])], region=Box(line, [0.0], [1.0])
     )
-    assert words == [(2,)]
+    assert words == [[(2,)]]
     assert reach.reps.ravel().tolist() == [-0.5, 0.0] and reach.visited_count == 3
     with pytest.raises(PointOutsideDomain):
         forward_orbit(triple_ifs, [-0.5], depth=1, eps=1 / 16)
+
+
+def test_lockstep_minimality_gives_each_seed_its_own_orbit(torus_pack_ifs):
+    # every seed's reach set equals forward_orbit of the seed alone; at
+    # budget 2000 the seed by the seam ends after 7 visits while the others
+    # truncate, and at eps 1/32 the seeds run in groups of four
+    seeds = np.array([[0.3, 0.6], [0.00885255, 0.63561522], [0.7, 0.2], [0.45, 0.95], [0.1, 0.1]])
+    for eps, budget in ((1 / 16, 2000), (1 / 16, 10**6), (1 / 32, 5000)):
+        rep = minimality_experiment(torus_pack_ifs, seeds, eps=eps, budget=budget)
+        for seed, reach in zip(seeds, rep["reaches"]):
+            alone = forward_orbit(torus_pack_ifs, seed, budget, eps / 4, budget)
+            for f in ("seed", "keys", "reps", "parent", "symbol", "frontier"):
+                a, b = getattr(reach, f), getattr(alone, f)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert (reach.visited_count, reach.truncated, reach.depth_reached) == (
+                alone.visited_count, alone.truncated, alone.depth_reached,
+            )
+        if budget == 2000:
+            assert [r.truncated for r in rep["reaches"]] == [True, False, True, True, True]
 
 
 @settings(max_examples=25)

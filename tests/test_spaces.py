@@ -76,6 +76,21 @@ def test_canonicalize_lands_in_the_period_and_is_idempotent(x, period):
     assert mixed.canonicalize(np.array([x, x, -x]))[1] == x
 
 
+def test_canonicalize_is_np_mod_bit_for_bit():
+    # period 1 wraps by x - floor(x), other periods by np.mod; both must give
+    # np.mod's bits, with the rounded-up period written as 0
+    rng = np.random.default_rng(4)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1 - 2**-53, -(1 - 2**-53), 1.0, -1.0, 3.0, -3.0, -1e-20, 1e-20,
+            0.5, -0.5, 2.0**52 + 0.5, -(2.0**52) - 0.5, 2.0**53, 1e300, -1e300]
+    x = np.concatenate([edge, rng.normal(0, 10, 2000), rng.integers(-50, 50, 200) / 4])
+    for period in (1.0, 2.0, 0.5):
+        want = np.mod(x, period)
+        want[want == period] = 0.0
+        for sp in (torus(2, period), StateSpace((Circle(period), Interval(-1e301, 1e301)))):
+            got = sp.canonicalize(np.stack([x, x], axis=-1))[:, 0]
+            assert got.tobytes() == want.tobytes()
+
+
 def test_cell_index_wraps_on_circles():
     sp = torus(1)
     eps = 1 / 8
