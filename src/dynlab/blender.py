@@ -437,13 +437,9 @@ def _strip_start(model, Gmap, exact, P, strip, word, fiber_cert_cu, depth) -> tu
         ifs_side = model.fiber_ifs_cs() if strip.kind == "s" else model.fiber_ifs_cu_inverted()
         region_side = model.region_cs if strip.kind == "s" else model.region_cu
         _, lip = ifs_side.contraction_bounds()
-        bound = density_step_bound(
-            max(strip.fiber_ball.radius, 1e-12), 2 * region_side.radius, lip
-        ) + 8
+        bound = density_step_bound(max(strip.fiber_ball.radius, 1e-12), 2 * region_side.radius, lip) + 8
         if depth < bound and "outside the certified region" not in str(word):
-            raise DepthExhausted(
-                f"depth {depth} is below the analytic bound {bound}", depth_bound=bound
-            ) from word
+            raise DepthExhausted(f"depth {depth} is below the analytic bound {bound}", depth_bound=bound) from word
         return {"hit": False, "reason": str(word), "witness_word": None}
     if strip.kind == "s":
         itinerary = word if word else (r0,)
@@ -466,9 +462,7 @@ def _strip_start(model, Gmap, exact, P, strip, word, fiber_cert_cu, depth) -> tu
         # the anchor rectangle, where the cu fiber sits at the fixed point
         u0 = base.u_from_itinerary(itinerary, P[1])
         z_start = apply_word(model.fiber_ifs_cu_inverted().generators, word, P[2 + ny :])
-        y_start = strip.other_level
-        if y_start is None:
-            y_start = model.region_cs.center
+        y_start = model.region_cs.center if strip.other_level is None else strip.other_level
         start = np.concatenate([[strip.level, u0], np.atleast_1d(y_start), z_start])
 
     if not exact:

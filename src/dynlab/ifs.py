@@ -325,7 +325,8 @@ class CellSet:
         return code
 
     def rows(self) -> np.ndarray:
-        """The keys of root 0, in increasing lexicographic order."""
+        """The keys of a one-root set, in increasing lexicographic order."""
+        assert self.roots == 1, "rows() lists the keys of a one-root set"
         first = self.seen[: math.prod(self.shape)]
         return np.stack(np.unravel_index(np.flatnonzero(first), self.shape), axis=-1) + self.lo
 
@@ -407,20 +408,32 @@ def _roots(space: StateSpace, seeds, eps: float) -> list[ReachSet]:
 
 
 def _explore(
-    generators: list[SmoothMap],
-    reaches: list[ReachSet],
-    extra_depth: int,
-    budget: float,
-    *,
-    targets: Sequence[Box],
-    region: Box | None,
+    generators: list[SmoothMap], reaches: list[ReachSet], extra_depth: int, budget: float,
+    *, targets: Sequence[Box], region: Box | None,
 ) -> list[list[Word | None]]:
     """The search of the module docstring from each reach set's frontier,
     for extra_depth more levels with the budget rules of ``extend_orbit``.
-    Returns, per root, each target's word (None if not hit). The roots share
-    one CellSet, its code led by the root index, and a frontier stacked root
-    by root; a root leaves once it hits its last target or truncates.
+    Returns, per root, each target's word (None if not hit). The roots run
+    in groups whose grids start at 2**17 cells together or fewer, since a
+    group holds its roots' rows until it ends. A group that raises runs
+    again in halves, so the error is that of the first root that raises alone.
     """
+    lo, hi = reaches[0].space.cell_range(reaches[0].eps)
+    size = max(1, 2**17 // math.prod((hi - lo + 1).tolist()))
+    if len(reaches) <= size:
+        try:
+            return _lockstep(generators, reaches, extra_depth, budget, targets, region)
+        except DynlabError:
+            if len(reaches) == 1:
+                raise
+        size = (len(reaches) + 1) // 2
+    groups = [reaches[i : i + size] for i in range(0, len(reaches), size)]
+    return [w for g in groups for w in _explore(generators, g, extra_depth, budget, targets=targets, region=region)]
+
+
+def _lockstep(generators, reaches, extra_depth, budget, targets, region) -> list[list[Word | None]]:
+    """``_explore`` of one group: one CellSet, its code led by the root index, and a frontier
+    stacked root by root; a root leaves once it hits its last target or truncates."""
     space, eps = reaches[0].space, reaches[0].eps
     R, T = len(reaches), len(targets)
     n = np.array([len(r.keys) for r in reaches])  # rows per root
@@ -431,8 +444,7 @@ def _explore(
     )
     cells = CellSet(space, eps, R)
     cells.add_new(stored[1][0], stored[0][0])
-    visited = np.array([r.visited_count for r in reaches])
-    truncated = np.array([r.truncated for r in reaches])
+    visited, truncated = np.array([r.visited_count for r in reaches]), np.array([r.truncated for r in reaches])
     levels = np.zeros(R, dtype=int)  # levels explored by this call
     # the frontier, stacked root by root: each point's root, row and point;
     # after a level, a root's frontier is its rows from f_start on
@@ -588,13 +600,7 @@ def minimality_experiment(
     """
     total = ifs.space.total_cells(eps)
     reaches = _roots(ifs.space, seed_grid, eps / refine)
-    # an exploration to the end can fill its whole grid, so the seeds run in
-    # lockstep in groups whose grids hold 2**16 cells together, which bounds
-    # a group's levels and their temporaries
-    lo, hi = ifs.space.cell_range(eps / refine)
-    group = max(1, 2**16 // math.prod((hi - lo + 1).tolist()))
-    for i in range(0, len(reaches), group):
-        _explore(ifs.generators, reaches[i : i + group], budget, budget, targets=(), region=None)
+    _explore(ifs.generators, reaches, budget, budget, targets=(), region=None)
     per_seed = [len(coarsen_cells(r, eps)) / total for r in reaches]
     return {
         "per_seed_coverage": per_seed,

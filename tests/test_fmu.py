@@ -201,6 +201,16 @@ def test_word_into_matches_reference(desk, mu):
     assert () in words and None in words and any(words)
 
 
+def test_words_into_at_a_fine_grid_runs_each_seed_on_its_own_grid(desk):
+    # at eps 1/2048 a seed's grid holds 2**22 cells, so five seeds cannot
+    # share one grid of 2**24 cells; each still gets its word alone
+    base, sched, f2, pack, ball = desk
+    fm = build_F_mu(base, f2, sched, 1.0, pack, blender_ball=ball, zeta=20.0)
+    seeds = np.random.default_rng(5).uniform(0.05, 0.95, (5, 2))
+    got = words_into(fm.minimality_maps, seeds, ball, 12, 1 / 2048)
+    assert got == [word_into(fm.minimality_maps, q, ball, 12, 1 / 2048) for q in seeds] and any(got)
+
+
 def test_almost_minimality_small(desk):
     base, sched, f2, pack, ball = desk
     fm = build_F_mu(base, f2, sched, 1.0, pack, blender_ball=ball, zeta=20.0)

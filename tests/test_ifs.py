@@ -283,9 +283,9 @@ def test_region_search_expands_a_seed_outside_its_region(triple_ifs):
 def test_lockstep_minimality_gives_each_seed_its_own_orbit(torus_pack_ifs):
     # every seed's reach set equals forward_orbit of the seed alone; at
     # budget 2000 the seed by the seam ends after 7 visits while the others
-    # truncate, and at eps 1/32 the seeds run in groups of four
+    # truncate, and at eps 1/64 the seeds run in groups of two
     seeds = np.array([[0.3, 0.6], [0.00885255, 0.63561522], [0.7, 0.2], [0.45, 0.95], [0.1, 0.1]])
-    for eps, budget in ((1 / 16, 2000), (1 / 16, 10**6), (1 / 32, 5000)):
+    for eps, budget in ((1 / 16, 2000), (1 / 16, 10**6), (1 / 64, 5000)):
         rep = minimality_experiment(torus_pack_ifs, seeds, eps=eps, budget=budget)
         for seed, reach in zip(seeds, rep["reaches"]):
             alone = forward_orbit(torus_pack_ifs, seed, budget, eps / 4, budget)
@@ -297,6 +297,25 @@ def test_lockstep_minimality_gives_each_seed_its_own_orbit(torus_pack_ifs):
             )
         if budget == 2000:
             assert [r.truncated for r in rep["reaches"]] == [True, False, True, True, True]
+
+
+def test_roots_whose_images_outgrow_a_shared_grid_run_as_if_alone():
+    # at depth 1 the images 0, -50000 and 50000 of three seeds fit a grid of
+    # 2**24 cells each alone but not together, so the group runs in halves;
+    # at depth 2 the seed 0 is the first to leave the line, so the seed 0.5
+    # before it is explored and the seed 1 after it is not
+    line = unit_interval_space(1)
+    ifs = IFS([affine_map(line, [[1e5]], [-5e4])], Box(line, [0.0], [1.0]))
+    seeds = [[0.5], [0.0], [1.0]]
+    reaches = _roots(line, seeds, 1 / 256)
+    assert _explore(ifs.generators, reaches, 1, np.inf, targets=(), region=None) == [[], [], []]
+    for seed, reach in zip(seeds, reaches):
+        alone = forward_orbit(ifs, seed, 1, 1 / 256)
+        assert reachset_lines(reach) == reachset_lines(alone) and len(reach.keys) == 2
+    reaches = _roots(line, seeds, 1 / 256)
+    with pytest.raises(PointOutsideDomain):
+        _explore(ifs.generators, reaches, 2, np.inf, targets=(), region=None)
+    assert [r.depth_reached for r in reaches] == [2, 0, 0]
 
 
 @settings(max_examples=25)
@@ -349,6 +368,8 @@ def test_cell_set_inserts_first_occurrences_as_a_python_set_does(data, name, eps
 def test_cell_set_box_over_the_limit_raises():
     with pytest.raises(DynlabError):
         CellSet(torus(2), 1 / 4097)  # 4097**2 > 2**24 cells
+    with pytest.raises(AssertionError):
+        CellSet(torus(2), 1 / 8, roots=2).rows()  # rows() lists one root
     cells = CellSet(unit_interval_space(1), 1 / 8)
     cells.add_new(np.array([[3], [-2]]))
     with pytest.raises(DynlabError):
