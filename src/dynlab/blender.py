@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fixed_points import find_fixed_point
 from .horseshoe import HorseshoeBase
-from .ifs import IFS, Word, apply_word
+from .ifs import IFS, Word, apply_words
 from .maps import SmoothMap, by_index
 from .spaces import Box, StateSpace
 
@@ -382,9 +382,11 @@ def verify_strips(
     mirrored construction, with the word constrained to enter the strip's
     rectangle first.
 
-    The fixed point is solved once per call, and every start still open is
-    replayed in one batch, each row along its own itinerary: the map
-    evaluates a batch as its rows, so each row replays as it would alone.
+    The fixed point is solved once per call, every strip's cu-fiber start
+    comes from one apply_words call through the inverse cu fibers, and
+    every start still open is replayed in one batch, each row along its own
+    itinerary: the maps evaluate a batch as its rows, so each row gets the
+    bits it would alone.
     """
     Gmap = model.as_map() if G is None else G
     # the model's own map needs no continuation or shooting: its fixed point
@@ -402,13 +404,25 @@ def verify_strips(
             balls = [strips[n].fiber_ball for n in at]
             words.update(zip(at, certify_densities(ifs_of(), seed, balls, depth, cert)))
     results: list[dict | None] = [None] * len(strips)
-    pending = []  # (strip index, start, itinerary)
+    opened = []  # (strip index, start without its cu-fiber columns, itinerary, cu word, cu point)
     for n, strip in enumerate(strips):
-        out = _strip_start(model, Gmap, exact, P, strip, words.get(n), fiber_cert_cu, depth)
+        out = _strip_start(model, P, strip, words.get(n), fiber_cert_cu, depth)
         if isinstance(out, dict):
             results[n] = out
         else:
-            pending.append((n, *out))
+            opened.append((n, *out))
+    starts = [o[1] for o in opened]
+    if opened and model.nz:
+        # every start's cu-fiber columns in one call, through the inverse fibers
+        Z = apply_words(model.fiber_ifs_cu_inverted().generators, [o[3] for o in opened], [o[4] for o in opened])
+        starts = [np.concatenate([head, z]) for head, z in zip(starts, Z)]
+    pending = []  # (strip index, start, itinerary)
+    for (n, _, itinerary, _, _), start in zip(opened, starts):
+        out = start if exact else _shoot_strip(model, Gmap, P, strips[n], start, itinerary)
+        if isinstance(out, dict):
+            results[n] = out
+        else:
+            pending.append((n, out, itinerary))
     if pending:
         words = np.full((len(pending), max(len(w) for _, _, w in pending)), _PAD)
         for row, (_, _, w) in enumerate(pending):
@@ -419,10 +433,11 @@ def verify_strips(
     return results
 
 
-def _strip_start(model, Gmap, exact, P, strip, word, fiber_cert_cu, depth) -> tuple | dict:
-    """The strip's replay start and itinerary from its density word, or its
-    result when it is decided before any replay (no density word, or no
-    shot orbit)."""
+def _strip_start(model, P, strip, word, fiber_cert_cu, depth) -> tuple | dict:
+    """The strip's replay start without its cu-fiber columns, its itinerary,
+    and the word of inverse cu fibers that carries the returned point to
+    those columns; or its result when it is decided before any replay (no
+    density word)."""
     base = model.base
     r0 = model.anchor
     ny = model.ny
@@ -447,53 +462,38 @@ def _strip_start(model, Gmap, exact, P, strip, word, fiber_cert_cu, depth) -> tu
         # point, u placed so the forward itinerary is the word and ends
         # on the strip's leaf, cu-fiber pulled back so it ends at the
         # strip's pinned level (expanding maps apply one symbol ahead,
-        # ending with the strip's own rectangle)
+        # ending with the strip's own rectangle, so the pullback runs the
+        # inverses from that rectangle back)
         u0 = base.u_from_itinerary(itinerary, strip.level)
-        start = np.array([P[0], u0, *P[2 : 2 + ny]], dtype=float)
-        if model.nz:
-            chain = tuple(itinerary[1:]) + (strip.rect,)
-            z0 = _pull_through(model.fibers_cu, chain, strip.other_level)
-            start = np.concatenate([start, z0])
-    else:
-        itinerary = (strip.rect,) + tuple(reversed(word))
-        # start on the strip: s pinned at the strip level, u chosen so
-        # the forward itinerary unwinds the word (next-symbol indexing
-        # makes the expanding chain cancel it exactly) and then parks in
-        # the anchor rectangle, where the cu fiber sits at the fixed point
-        u0 = base.u_from_itinerary(itinerary, P[1])
-        z_start = apply_word(model.fiber_ifs_cu_inverted().generators, word, P[2 + ny :])
-        y_start = model.region_cs.center if strip.other_level is None else strip.other_level
-        start = np.concatenate([[strip.level, u0], np.atleast_1d(y_start), z_start])
+        head = np.array([P[0], u0, *P[2 : 2 + ny]], dtype=float)
+        return head, itinerary, (strip.rect,) + tuple(reversed(itinerary[1:])), strip.other_level
+    itinerary = (strip.rect,) + tuple(reversed(word))
+    # start on the strip: s pinned at the strip level, u chosen so the
+    # forward itinerary unwinds the word (next-symbol indexing makes the
+    # expanding chain cancel it exactly) and then parks in the anchor
+    # rectangle, where the cu fiber sits at the fixed point
+    u0 = base.u_from_itinerary(itinerary, P[1])
+    y_start = model.region_cs.center if strip.other_level is None else strip.other_level
+    return np.concatenate([[strip.level, u0], np.atleast_1d(y_start)]), itinerary, word, P[2 + ny :]
 
-    if not exact:
-        # perturbed base dynamics amplify start errors along the unstable
-        # direction; re-shoot the free coordinates so the replay tracks the
-        # itinerary cylinders and meets its endpoint targets
-        u_target = strip.level if strip.kind == "s" else P[1]
-        z_target = None
-        if model.nz:
-            z_target = (
-                np.atleast_1d(strip.other_level)
-                if strip.kind == "s"
-                else P[2 + ny :]
-            )
-        refined = _shoot_start(model, Gmap, start, itinerary, u_target, z_target)
-        if refined is None:
-            return {
-                "hit": False,
-                "reason": "shooting found no orbit tracking the itinerary",
-                "witness_word": itinerary,
-            }
-        start = refined
-        if strip.kind == "u" and not strip.fiber_ball.contains(
-            start[2 + ny :], tol=1e-12
-        ):
-            return {
-                "hit": False,
-                "reason": "refined start left the strip's fiber ball",
-                "witness_word": itinerary,
-            }
-    return start, itinerary
+
+def _shoot_strip(model, Gmap, P, strip, start, itinerary) -> np.ndarray | dict:
+    """The strip's start re-shot on the perturbed map Gmap, or its result
+    when no shot orbit serves."""
+    ny = model.ny
+    # perturbed base dynamics amplify start errors along the unstable
+    # direction; re-shoot the free coordinates so the replay tracks the
+    # itinerary cylinders and meets its endpoint targets
+    u_target = strip.level if strip.kind == "s" else P[1]
+    z_target = None
+    if model.nz:
+        z_target = np.atleast_1d(strip.other_level) if strip.kind == "s" else P[2 + ny :]
+    start = _shoot_start(model, Gmap, start, itinerary, u_target, z_target)
+    if start is None:
+        return {"hit": False, "reason": "shooting found no orbit tracking the itinerary", "witness_word": itinerary}
+    if strip.kind == "u" and not strip.fiber_ball.contains(start[2 + ny :], tol=1e-12):
+        return {"hit": False, "reason": "refined start left the strip's fiber ball", "witness_word": itinerary}
+    return start
 
 
 def _strip_verdict(model, P, strip, start, itinerary: Word, t: int, p, eps: float) -> dict:
@@ -555,14 +555,6 @@ def _replay(base: HorseshoeBase, Gmap: SmoothMap, P: np.ndarray, words: np.ndarr
         Q[live] = Gmap.raw(Q[live])
         k[live] = t + 1
     return k, Q
-
-
-def _pull_through(fibers: list[SmoothMap], itinerary: Word, level) -> np.ndarray:
-    """Backward composition so the forward replay along the itinerary ends at level."""
-    v = np.asarray(level, dtype=float)
-    for sym in reversed(tuple(itinerary)):
-        v = fibers[sym].invert(v)
-    return v
 
 
 # Bisection budget of one solve, and the depth of the midpoint trees that

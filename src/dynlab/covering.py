@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaOutOfRange, NoMetadata, StepLimit, Uncovered
-from .ifs import IFS, GeneratorBank, Word
+from .ifs import IFS, GeneratorBank, Word, apply_words
 from .maps import SmoothMap, by_index
 from .spaces import Box
 
@@ -456,17 +456,6 @@ def _pullback_boxes(
     return lo, hi, (hi < lo).any(axis=-1)
 
 
-def _apply_words(gens: list[SmoothMap], words: list[Word], x: np.ndarray) -> np.ndarray:
-    """apply_word of each word to x, one row each, one call per symbol at each step."""
-    steps = max(map(len, words), default=0)
-    padded = np.array([w + (-1,) * (steps - len(w)) for w in words], dtype=np.intp).reshape(len(words), steps)
-    y = np.tile(np.asarray(x, dtype=float), (len(words), 1))
-    for t in range(steps):
-        on = np.flatnonzero(padded[:, t] >= 0)
-        y[on] = by_index(gens, padded[on, t], y[on], "__call__")
-    return y
-
-
 def certify_densities(
     ifs: IFS, seed, targets: list[Box], max_steps: int, cert: CoveringCertificate
 ) -> list[Word | StepLimit]:
@@ -508,7 +497,7 @@ def certify_densities(
         """A row's word is its prefix + its pullback symbols, last first, if it lands."""
         words = [w + tuple(t) for w, t in zip(prefixes, symbols[rows, :step][:, ::-1].tolist())]
         j = live[rows]
-        landed = space.distance(_apply_words(gens, words, seed), center[j]) < radius[j]
+        landed = space.distance(apply_words(gens, words, seed), center[j]) < radius[j]
         for i, w in zip(j[landed].tolist(), itertools.compress(words, landed)):
             out[i] = w
         done[rows[landed]] = True

@@ -17,7 +17,7 @@ from . import skew as sk
 from . import twist as tw
 from .errors import ConfigInvalid, StepLimit
 from .horseshoe import HorseshoeBase
-from .ifs import IFS, forward_orbit, minimality_experiment, recurrence_experiment
+from .ifs import IFS, apply_words, forward_orbit, minimality_experiment, recurrence_experiment
 from .maps import affine_map, check_symplectic
 from .spaces import Box, Circle, Interval, StateSpace, torus, unit_interval_space
 
@@ -82,7 +82,7 @@ def run_ifs_density(params: dict, seed: int, artifacts: dict) -> list[dict]:
         failed = [w for w in words if isinstance(w, StepLimit)]
         if failed:
             raise failed[0]
-        ok = all(ifs.space.distance(ifs.apply_word(w, [0.0]), c) < eps for w, c in zip(words, centers))
+        ok = bool((ifs.space.distance(apply_words(ifs.generators, words, [0.0]), centers) < eps).all())
         checks.append(
             {
                 "name": f"density-{tag}",
@@ -179,9 +179,10 @@ def run_double_blender(params: dict, seed: int, artifacts: dict) -> list[dict]:
     )
     F = model.as_map()
     rng = np.random.default_rng(seed)
+    region = model.region_full()
     pts = []
     while len(pts) < 100:
-        p = model.region_full().sample(rng)
+        p = region.sample(rng)
         if model.base.rect_of(p[:2]) >= 0:
             pts.append(p)
     sym = check_symplectic(F, np.array(pts), 1e-8)

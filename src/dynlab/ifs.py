@@ -37,18 +37,35 @@ import numpy as np
 
 from .errors import DynlabError, NoConvergence, NoMetadata
 from .fixed_points import FixedPointRecord, contract_rows, find_fixed_point
-from .maps import SmoothMap
+from .maps import SmoothMap, by_index
 from .spaces import Box, Interval, StateSpace
 
 Word = tuple[int, ...]
 
 
-def apply_word(generators: list[SmoothMap], word: Word, x) -> np.ndarray:
-    """Evaluate the word, first symbol first."""
-    y = np.asarray(x, dtype=float)
-    for s in word:
-        y = generators[s](y)
+def apply_words(maps: list[SmoothMap], words: Sequence[Word], X) -> np.ndarray:
+    """Each word applied to X, first symbol first, one row per word: the one
+    code that applies a word of maps to a point.
+
+    X is one point, applied to every word, or one row per word. The words
+    run in lockstep, padded past their ends; each step calls each map present
+    once, on the rows whose word has that symbol there. A row gets the bits
+    it would alone, as the maps evaluate a batch as its rows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.array(np.broadcast_to(X, (len(words), X.shape[-1])))
+    padded = np.full((len(words), max(map(len, words), default=0)), -1, dtype=np.intp)
+    for row, w in enumerate(words):
+        padded[row, : len(w)] = w
+    for t in range(padded.shape[1]):
+        on = np.flatnonzero(padded[:, t] >= 0)
+        y[on] = by_index(maps, padded[on, t], y[on], "__call__")
     return y
+
+
+def apply_word(generators: list[SmoothMap], word: Word, x) -> np.ndarray:
+    """apply_words on a batch of one: the word applied to the point x."""
+    return apply_words(generators, [word], x)[0]
 
 
 _INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
@@ -569,11 +586,8 @@ def extend_orbit(ifs: IFS, reach: ReachSet, extra_depth: int, budget: int = 1_00
 def replay_check(ifs: IFS, reach: ReachSet) -> bool:
     """Every witness word, applied to the seed, lands within eps/2 of its
     representative (exact up to float noise for deterministic generators)."""
-    for word, rep in zip(reach.words(), reach.reps):
-        got = ifs.apply_word(word, reach.seed)
-        if ifs.space.distance(got, rep) > reach.eps / 2.0:
-            return False
-    return True
+    got = apply_words(ifs.generators, reach.words(), reach.seed)
+    return not (ifs.space.distance(got, reach.reps) > reach.eps / 2.0).any()
 
 
 def coarsen_cells(reach: ReachSet, eps: float) -> set[tuple]:

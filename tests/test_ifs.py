@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynlab.covering import construct_translations
 from dynlab.errors import DynlabError, PointOutsideDomain
 from dynlab.ifs import (
-    IFS, CellSet, _explore, _roots, apply_word, extend_orbit, forward_orbit, minimality_experiment, replay_check,
+    IFS, CellSet, _explore, _roots, apply_word, apply_words, extend_orbit, forward_orbit, minimality_experiment,
+    replay_check,
 )
 from dynlab.maps import affine_map, identity_map
+from dynlab.perturb import perturb_ifs
 from dynlab.reports import reachset_lines
 from dynlab.spaces import Box, Circle, Interval, StateSpace, annulus, torus, unit_interval_space
 from dynlab.twist import minimal_generator_pack, twist_map
@@ -329,6 +333,56 @@ def test_witnesses_replay_from_random_seed_interval(triple_ifs, x):
 def test_witnesses_replay_from_random_seed_torus(torus_pack_ifs, x, y):
     reach = forward_orbit(torus_pack_ifs, [x, y], depth=10**6, eps=1 / 32, budget=3000)
     assert replay_check(torus_pack_ifs, reach)
+
+
+def test_replay_check_rejects_corrupted_witnesses(torus_pack_ifs):
+    reach = forward_orbit(torus_pack_ifs, [0.3, 0.6], depth=4, eps=1 / 32)
+    assert replay_check(torus_pack_ifs, reach)
+    row = len(reach.reps) - 1
+    moved = replace(reach, reps=reach.reps.copy())
+    moved.reps[row] = torus_pack_ifs.space.canonicalize(moved.reps[row] + 0.6 * reach.eps)
+    assert not replay_check(torus_pack_ifs, moved)
+    resymboled = replace(reach, symbol=reach.symbol.copy())
+    resymboled.symbol[row] = (reach.symbol[row] + 1) % torus_pack_ifs.k
+    assert not replay_check(torus_pack_ifs, resymboled)
+
+
+@pytest.fixture(scope="module")
+def word_systems(triple_ifs, torus_pack_ifs, symplectic_model):
+    """(maps, region): the triple IFS, the torus pack, a perturbed bank and
+    the blender model's inverted cu fibers."""
+    line = StateSpace((Interval(-1, 1),))
+    bank = perturb_ifs(construct_translations(affine_map(line, [[0.5]], [0.0]), 0.5, 0.3), 0.025, seed=1)
+    systems = (triple_ifs, torus_pack_ifs, bank, symplectic_model.fiber_ifs_cu_inverted())
+    return [(ifs.generators, ifs.domain_region) for ifs in systems]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_apply_words_keeps_each_rows_bits(word_systems, data):
+    # every row is its word applied to its point alone, one map call per
+    # symbol, whether X is one point for every word or one row per word
+    maps, region = data.draw(st.sampled_from(word_systems))
+    words = data.draw(st.lists(st.lists(st.integers(0, len(maps) - 1), max_size=8).map(tuple), max_size=6))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    dim = region.space.dim
+    corners = data.draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=len(words) + 1,
+                                 max_size=len(words) + 1))
+    X = region.lo + np.array(corners) * (region.hi - region.lo)
+
+    def alone(word, x):
+        y = x
+        for s in word:
+            y = maps[s](y)
+        return y
+
+    for X_in, starts in ((X[0], [X[0]] * len(words)), (X[1:], X[1:])):
+        got = apply_words(maps, words, X_in)
+        assert got.shape == (len(words), dim)
+        for row, w, x in zip(got, words, starts):
+            assert row.tobytes() == alone(w, x).tobytes()
+    for w in words + [()]:
+        assert apply_word(maps, w, X[0]).tobytes() == alone(w, X[0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
