@@ -9,10 +9,6 @@ class PointOutsideDomain(DynlabError):
     """A point lies outside an interval factor by more than the tolerance."""
 
 
-class StepTooLarge(DynlabError):
-    """A finite-difference stencil would leave the map's domain."""
-
-
 class OddDimension(DynlabError):
     """A symplectic check was requested on an odd-dimensional space."""
 
@@ -22,7 +18,7 @@ class NoConvergence(DynlabError):
 
 
 class SingularJacobian(DynlabError):
-    """A Newton step hit a (numerically) singular Jacobian."""
+    """A Newton step or the inverse-function rule hit a singular Jacobian."""
 
 
 class NotHyperbolic(DynlabError):
@@ -30,7 +26,7 @@ class NotHyperbolic(DynlabError):
 
 
 class NoMetadata(DynlabError):
-    """An operation needs contraction/Lipschitz metadata that is missing."""
+    """An operation needs metadata the map does not declare (lam/lip, a Jacobian)."""
 
 
 class Uncovered(DynlabError):
@@ -54,7 +50,7 @@ class BudgetExhausted(DynlabError):
 
 
 class NotInvertible(DynlabError):
-    """Backward iteration requested without inverse maps."""
+    """An inverse or backward iteration was requested of maps without inverses."""
 
 
 class NotFixedPoint(DynlabError):

@@ -29,8 +29,8 @@ def _midpoint_step(field, x: np.ndarray, h: float) -> np.ndarray:
         y = y_new
         if d < _INNER_TOL:
             break
-    # finite-difference fields plateau at rounding level; accept that,
-    # reject genuine stalls
+    # the iterates can plateau at rounding level above _INNER_TOL; accept
+    # that, reject genuine stalls
     if d >= 1000 * _INNER_TOL:
         raise IntegratorDiverged("implicit midpoint inner iteration stalled")
     return y

@@ -2,7 +2,8 @@
 
 A SmoothMap wraps a vectorized point function f together with an optional
 analytic Jacobian, an optional inverse, and numeric metadata used by the
-certificate machinery:
+certificate machinery (a Jacobian or inverse comes only from what the map
+declares; nothing is differenced or solved generically):
 
     lam        lower contraction bound:  lam * d(x,y) <= d(f x, f y)
     lip        Lipschitz bound:          d(f x, f y) <= lip * d(x,y)
@@ -19,19 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    OddDimension,
-    PointOutsideDomain,
-    SingularJacobian,
-    StepTooLarge,
-)
+from .errors import NoMetadata, NotInvertible, OddDimension, SingularJacobian
 from .spaces import StateSpace
-
-# Default finite-difference step, as a fraction of the domain diameter.
-FD_STEP_FRACTION = 1e-5
-_INVERT_TOL = 1e-12  # residual at which invert's Newton solve stops
-_INVERT_MAX_ITER = 80  # Newton steps of invert before NoConvergence
 
 
 @dataclass(eq=False)
@@ -58,27 +48,14 @@ class SmoothMap:
         """Evaluate without domain checks or canonicalization."""
         return self.fn(np.asarray(x, dtype=float))
 
-    def jacobian(self, x, h: float | None = None) -> np.ndarray:
-        return jacobian(self, x, h)
+    def jacobian(self, x) -> np.ndarray:
+        return jacobian(self, x)
 
     def invert(self, y) -> np.ndarray:
-        """Preimage of y, via the attached inverse or a Newton solve (batched)
-        that stops below _INVERT_TOL within _INVERT_MAX_ITER steps."""
-        if self.inverse is not None:
-            return self.inverse(y)
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        for _ in range(_INVERT_MAX_ITER):
-            r = self.codomain.diff(self.raw(x), y)
-            if np.max(np.abs(r)) < _INVERT_TOL:
-                return self.domain.canonicalize(x)
-            J = self.jacobian(x)
-            try:
-                step = np.linalg.solve(J, r[..., None])[..., 0]
-            except np.linalg.LinAlgError as e:
-                raise SingularJacobian(f"{self.name}: singular Jacobian in invert") from e
-            x = x - step
-        raise NoConvergence(f"{self.name}: invert did not converge")
+        """Preimage of y under the attached inverse; NotInvertible without one."""
+        if self.inverse is None:
+            raise NotInvertible(f"{self.name} has no inverse")
+        return self.inverse(y)
 
     def with_meta(self, **kw) -> "SmoothMap":
         out = SmoothMap(**{**self.__dict__, **kw})
@@ -112,48 +89,24 @@ def by_index(maps: list[SmoothMap], idx: np.ndarray, x: np.ndarray, method: str)
     return out
 
 
-def fd_step(space: StateSpace, h: float | None) -> float:
-    if h is not None:
-        if h <= 0:
-            raise ValueError("finite-difference step must be positive")
-        return h
-    return FD_STEP_FRACTION * max(space.diameter(), 1.0)
-
-
-def jacobian(m: SmoothMap, x, h: float | None = None) -> np.ndarray:
-    """Analytic Jacobian when available, else central differences.
-
-    The stencil must stay inside interval factors (StepTooLarge otherwise);
-    circle factors wrap. Output displacements use the shortest circle
-    representative, so derivatives are correct across the seam.
-    """
+def jacobian(m: SmoothMap, x) -> np.ndarray:
+    """The Jacobian the map declares: its jac, else its affine part, else,
+    when its inverse declares one, the inverse-function rule
+    D(f^-1)(y) = Df(f^-1(y))^-1. NoMetadata when it declares none,
+    SingularJacobian when the inverse's Jacobian is singular."""
     x = np.asarray(x, dtype=float)
     if m.jac is not None:
         return m.jac(x)
     if m.affine is not None:
         A = m.affine[0]
         return np.broadcast_to(A, x.shape + (A.shape[-1],)).copy()
-    step = fd_step(m.domain, h)
-    dim = m.domain.dim
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    for i, f in enumerate(m.domain.factors):
-        if hasattr(f, "lo"):  # interval factor
-            if np.any(pts[..., i] - step < f.lo - 1e-15) or np.any(
-                pts[..., i] + step > f.hi + 1e-15
-            ):
-                raise StepTooLarge(
-                    f"{m.name}: stencil of width {step} exits interval factor {i}"
-                )
-    cols = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = step
-        fp = m.fn(m.domain.canonicalize(pts + e))
-        fm = m.fn(m.domain.canonicalize(pts - e))
-        cols.append(m.codomain.diff(fp, fm) / (2.0 * step))
-    J = np.stack(cols, axis=-1)
-    return J[0] if single else J
+    inv = m.inverse
+    if inv is not None and (inv.jac is not None or inv.affine is not None):
+        try:
+            return np.linalg.inv(jacobian(inv, m.fn(x)))
+        except np.linalg.LinAlgError as e:
+            raise SingularJacobian(f"{m.name}: singular Jacobian of {inv.name}") from e
+    raise NoMetadata(f"{m.name} declares no Jacobian")
 
 
 def compose(
@@ -169,7 +122,7 @@ def compose(
     def fn(x):
         return outer.fn(outer.domain.canonicalize(inner.fn(x)))
 
-    def jac_fn(x):  # chain rule; each factor may fall back to FD
+    def jac_fn(x):  # chain rule through each factor's declared Jacobian
         xi = np.asarray(x, dtype=float)
         mid = outer.domain.canonicalize(inner.fn(xi))
         Ji = jacobian(inner, xi)

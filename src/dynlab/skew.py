@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotFixedPoint, NotInvertible
+from .errors import NoConvergence, NotFixedPoint, NotInvertible
 from .ifs import IFS, CellSet, ReachSet, Word, _explore, _roots, forward_orbit
 from .maps import SmoothMap, affine_map
 from .shifts import ShiftPoint, insert_word
@@ -83,7 +83,8 @@ class SkewProduct:
 
     def fixed_point(self, symbol: int = 0, fiber_guess=0.0) -> tuple[ShiftPoint, object]:
         """Fixed point over the constant-symbol base; exact when the fiber map
-        knows its own fixed point, contraction iteration otherwise."""
+        knows its own fixed point, else contraction iteration (NoConvergence
+        after 400 steps)."""
         x = ShiftPoint.constant(self.d, symbol)
         f = self.contracting[symbol]
         if f.fixed is not None:
@@ -92,10 +93,9 @@ class SkewProduct:
         for _ in range(400):
             y_next = f.apply(y)
             if _fiber_dist(y_next, y) < 1e-15:
-                y = y_next
-                break
+                return x, y_next
             y = y_next
-        return x, y
+        raise NoConvergence(f"{f.smooth.name} (symbol {symbol}): contraction iteration did not converge")
 
 
 def _fiber_dist(a, b) -> float:

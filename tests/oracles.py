@@ -3,6 +3,8 @@ library code they check."""
 
 import itertools
 
+import numpy as np
+
 from dynlab.shifts import ShiftPoint
 from dynlab.skew import SkewProduct, iterate_skew
 
@@ -85,3 +87,16 @@ def scalar_certify_density(ifs, seed, target, max_steps, cert):
         B = pullback(gi, B)
         word_rev.append(gi)
     raise StepLimit(f"no capture within {max_steps} pullback steps")
+
+
+def fd_jacobian(m, x, h):
+    """Central-difference Jacobian of m at x, one point or rows, with step h
+    along each axis. Circle inputs wrap and output displacements take the
+    shortest circle representative, so the stencil may cross the seam."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for e in h * np.eye(m.domain.dim):
+        fp = m.fn(m.domain.canonicalize(x + e))
+        fm = m.fn(m.domain.canonicalize(x - e))
+        cols.append(m.codomain.diff(fp, fm) / (2.0 * h))
+    return np.stack(cols, axis=-1)

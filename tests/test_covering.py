@@ -275,9 +275,16 @@ def curved_map(space, c=0.01, k=6):
         J[..., 0, 1] = c * w * np.cos(w * x[..., 1])
         return J
 
+    def fn_inv(v):
+        v = np.asarray(v, dtype=float)
+        y = 2.0 * (v[..., 1] - 0.25)
+        return np.stack([2.0 * (v[..., 0] - 0.25 - c * np.sin(w * y)), y], -1)
+
     # ||J^-1||_inf <= 2 + 4 c w bounds the max-metric contraction from below
     lam = 1 / (2 + 4 * c * w)
-    return SmoothMap(space, space, fn, jac=jac, name="curved", lam=lam, lip=0.5 + c * w)
+    out = SmoothMap(space, space, fn, jac=jac, name="curved", lam=lam, lip=0.5 + c * w)
+    out.inverse = SmoothMap(space, space, fn_inv, name="curved^-1", inverse=out)
+    return out
 
 
 def slack_generators():

@@ -76,7 +76,14 @@ def test_newton_on_nonlinear_saddle():
     def fn(x):
         return np.stack([2.0 * x[..., 0] + 0.1 * x[..., 1] ** 2, 0.5 * x[..., 1]], -1)
 
-    m = SmoothMap(sp, sp, fn, name="nl-saddle")
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0], J[..., 1, 1] = 2.0, 0.5
+        J[..., 0, 1] = 0.2 * x[..., 1]
+        return J
+
+    m = SmoothMap(sp, sp, fn, jac=jac, name="nl-saddle")
     rec = find_fixed_point(m, [0.3, 0.3])
     assert np.allclose(rec.point, 0.0, atol=1e-8)
     assert rec.classification == "saddle"

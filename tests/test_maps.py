@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynlab.errors import OddDimension, PointOutsideDomain, StepTooLarge
+from dynlab.errors import NoMetadata, NotInvertible, OddDimension, PointOutsideDomain, SingularJacobian
 from dynlab.maps import (
     SmoothMap,
     affine_map,
@@ -14,6 +14,7 @@ from dynlab.maps import (
 from dynlab.perturb import perturb_map
 from dynlab.spaces import Circle, Interval, StateSpace, annulus, torus, unit_interval_space
 from dynlab.twist import conjugating_shear, flow_h_epsilon, twist_map
+from oracles import fd_jacobian
 
 
 def make_twist():
@@ -46,17 +47,36 @@ def test_outside_domain_raises():
         g(np.array([1.5]))
 
 
-def test_jacobian_linear_map_exact():
+def test_bare_map_declares_no_jacobian_or_inverse():
+    # a map with neither jac, affine part nor inverse is never differenced
+    # or Newton-solved
     sp = StateSpace((Interval(-5, 5), Interval(-5, 5)))
     m = SmoothMap(sp, sp, fn=lambda x: x * np.array([2.0, 0.5]), name="diag")
-    J = jacobian(m, np.array([0.3, -0.2]), h=1e-5)
-    assert np.allclose(J, np.diag([2.0, 0.5]), atol=1e-9)
+    with pytest.raises(NoMetadata, match="diag"):
+        jacobian(m, np.array([0.3, -0.2]))
+    with pytest.raises(NoMetadata, match="diag"):
+        m.jacobian(np.array([[0.3, -0.2]]))
+    with pytest.raises(NotInvertible, match="diag"):
+        m.invert(np.array([0.6, -0.1]))
+
+
+def test_jacobian_of_a_declared_inverse_is_inverted():
+    # D(f^-1)(y) = Df(f^-1(y))^-1, and a singular Df raises SingularJacobian
+    sp = StateSpace((Interval(-5, 5), Interval(-5, 5)))
+    g = affine_map(sp, [[2.0, 1.0], [0.0, 0.5]], [0.1, 0.2], name="g")
+    bare_inv = SmoothMap(sp, sp, fn=g.inverse.fn, name="g^-1", inverse=g)
+    Y = np.array([[0.3, -0.2], [1.0, 2.0]])
+    assert np.allclose(jacobian(bare_inv, Y), np.linalg.inv(g.affine[0]), atol=1e-15)
+    flat = SmoothMap(sp, sp, fn=lambda x: x * [1.0, 0.0], name="flat", affine=(np.diag([1.0, 0.0]), np.zeros(2)))
+    with pytest.raises(SingularJacobian, match="flat"):
+        jacobian(SmoothMap(sp, sp, fn=lambda y: y, name="up", inverse=flat), Y)
 
 
 def test_jacobian_shear_constant():
     tw = make_twist()
-    J = jacobian(tw.with_meta(jac=None), np.array([0.5, 0.3]))
-    assert np.allclose(J, [[1.0, 0.0], [1.0, 1.0]], atol=1e-8)
+    x = np.array([0.5, 0.3])
+    assert np.allclose(fd_jacobian(tw, x, 1e-5), [[1.0, 0.0], [1.0, 1.0]], atol=1e-8)
+    assert np.allclose(jacobian(tw, x), [[1.0, 0.0], [1.0, 1.0]], atol=1e-12)
 
 
 def test_jacobian_action_shear_analytic_vs_fd():
@@ -68,15 +88,7 @@ def test_jacobian_action_shear_analytic_vs_fd():
     x = np.array([0.3, 0.25])
     expected = np.array([[1.0, -eps * np.sin(2 * np.pi * 0.25) * 2 * np.pi], [0.0, 1.0]])
     assert np.allclose(sh.jacobian(x), expected, atol=1e-12)
-    fd = jacobian(sh.with_meta(jac=None), x)
-    assert np.allclose(fd, expected, atol=1e-6)
-
-
-def test_jacobian_step_too_large():
-    line = unit_interval_space(1)
-    g = affine_map(line, [[0.5]], [0.0]).with_meta(jac=None, affine=None)
-    with pytest.raises(StepTooLarge):
-        jacobian(g, np.array([0.0]), h=0.1)
+    assert np.allclose(fd_jacobian(sh, x, 1e-5), expected, atol=1e-6)
 
 
 def test_check_symplectic_twist_passes():
@@ -89,7 +101,10 @@ def test_check_symplectic_twist_passes():
 
 def test_check_symplectic_dilation_fails():
     sp = annulus()
-    m = SmoothMap(sp, sp, fn=lambda x: np.stack([2 * x[..., 0], x[..., 1]], -1), name="dilate")
+    m = SmoothMap(
+        sp, sp, fn=lambda x: np.stack([2 * x[..., 0], x[..., 1]], -1),
+        jac=lambda x: np.broadcast_to(np.diag([2.0, 1.0]), np.shape(x) + (2,)).copy(), name="dilate",
+    )
     rep = check_symplectic(m, np.array([[0.4, 0.3]]), tol=1e-8)
     assert not rep["pass"]
     assert rep["max_residual"] == pytest.approx(1.0, abs=1e-6)
@@ -117,7 +132,7 @@ def test_compose_jacobian_is_product():
     for _ in range(5):
         x = np.array([rng.uniform(0, 1), rng.random()])
         J_prod = f.jacobian(g(x)) @ g.jacobian(x)
-        J_fd = jacobian(h.with_meta(jac=None), x)
+        J_fd = fd_jacobian(h, x, 1e-5)
         assert np.allclose(J_fd, J_prod, atol=1e-6)
 
 

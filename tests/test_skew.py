@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dynlab.covering import verify_covering
-from dynlab.errors import NotFixedPoint, NotInvertible
+from dynlab.errors import NoConvergence, NotFixedPoint, NotInvertible
+from dynlab.maps import affine_map
 from dynlab.perturb import perturb_map
 from dynlab.shifts import ShiftPoint, insert_word
 from dynlab.skew import (
@@ -54,6 +55,15 @@ def test_fixed_point_stays():
         x, y = iterate_skew(sk, p, n)
         assert y == F(0)
         assert x == p[0]
+
+
+def test_fixed_point_iteration_raises_without_convergence():
+    # y -> y + 0.3 has no fixed point, so iteration cannot settle
+    line = unit_interval_space(1)
+    drift = FiberMap(smooth=affine_map(line, [[1.0]], [0.3], name="drift"), apply=lambda y: y + 0.3)
+    sk = SkewProduct(d=2, fiber_space=line, contracting=[dyadic_skew().contracting[0], drift])
+    with pytest.raises(NoConvergence, match=r"drift \(symbol 1\)"):
+        sk.fixed_point(1, 0.0)
 
 
 def test_inverse_consistency_exact():
