@@ -1,11 +1,12 @@
 """Golden digests: byte-level outputs that a refactor must not move.
 
 Each preset's ``comparable_json`` report at its default parameters is pinned
-by its sha256: all presets at seed 0, and every preset but the two slow
-ones (``robustness-sweep``, ``twist-transitivity``) at seed 1. One more
-digest pins the ``verify_strips`` result bytes (start, final, witness word,
-reason, residual) of s- and u-strips on the symplectic model, on the model
-itself and on a perturbation of 0.3 x the covering margin.
+by its sha256: all presets at seed 0, and every preset but the slow
+``twist-transitivity`` at seed 1. Two more digests pin ``verify_strips`` on
+one set of s- and u-strips on the symplectic model: its result bytes
+(start, final, witness word, reason, residual) on the model itself and on a
+perturbation of 0.3 x the covering margin, and its verdicts (hit, reason,
+witness word, depth) at 0, 0.3, 1 and 3 x the margin.
 
 The digests are stable across processes and ``PYTHONHASHSEED`` values, and
 pinned to numpy 2.4.6: another numpy may round differently. A change that
@@ -45,15 +46,17 @@ PRESET_DIGESTS = {
     ("double-blender", 1): "703c1744bc84e36a4c0dcb7622009b15c5f8dc46cd1ab90169e241b746bcc1e5",
     ("f-mu-minimality", 1): "ea2744f12a7b333312e654af94eaff6875490223b12f88290f233b7aa46823e1",
     ("chain-shadow", 1): "a0f3ffc45f5c845ba20cdc68ab802368d40ccbe28d54b70c1e6140776b597759",
+    ("robustness-sweep", 1): "81205ff8bacfba37167375148ff50702fb25ffbfea1a1d94856157f1ff103ffd",
     ("recurrence-fraction", 1): "b43fe46847a6d50b78bd18c431543b0f367dd8a95570488669e351d7f5c1b5c7",
 }
 
 STRIP_DIGEST = "130910c28f0b6a9fc0a8582683cb0d085d58c7fb327a175682dbf464b5dee49b"
+STRIP_VERDICT_DIGEST = "7bc02c05d72873dc8ece4908c96808512d89fe30205d12f56e45572c5b4e7dae"
 
 
 def test_every_preset_is_pinned():
     assert {name for name, _ in PRESET_DIGESTS} == set(REGISTRY)
-    slow = {"robustness-sweep", "twist-transitivity"}
+    slow = {"twist-transitivity"}
     assert {name for name, seed in PRESET_DIGESTS if seed == 1} == set(REGISTRY) - slow
 
 
@@ -63,9 +66,9 @@ def test_preset_report_is_byte_identical(name, seed):
     assert hashlib.sha256(comparable_json(text).encode()).hexdigest() == PRESET_DIGESTS[name, seed]
 
 
-def strip_result_digest(model, report) -> str:
-    """sha256 over every verify_strips result byte, strips in order, at
-    eta = 0 and eta = 0.3 x the covering margin."""
+def golden_strip_results(model, report, eta_factors):
+    """verify_strips results of the golden strip set, one list per eta =
+    factor x the covering margin."""
     space = model.region_cs.space
     strips = sample_strips(model, "s", 8, 1 / 32, seed=51) + sample_strips(model, "u", 8, 1 / 32, seed=52)
     # decided before any replay (ball outside the certified region), and a
@@ -73,12 +76,19 @@ def strip_result_digest(model, report) -> str:
     strips.append(Strip("s", 1, model.base.slab_lo[1] + 0.5 * model.base.height, Box.ball(space, [3.0], 0.05),
                         np.array([0.4])))
     strips.append(Strip("s", 0, 1.05, Box.ball(space, [0.4], 0.05), np.array([0.4])))
-    h = hashlib.sha256()
     F = model.as_map()
-    for eta in (0.0, 0.3 * report["fiber_cert"].margin):
+    for factor in eta_factors:
+        eta = factor * report["fiber_cert"].margin
         G = F if eta == 0 else perturb_map(F, eta, seed=4)
-        res = verify_strips(model, strips, report["fiber_cert"], 30, 0.02, G=G,
+        yield verify_strips(model, strips, report["fiber_cert"], 30, 0.02, G=G,
                             fiber_cert_cu=report["fiber_cert_cu"])
+
+
+def strip_result_digest(model, report) -> str:
+    """sha256 over every verify_strips result byte, strips in order, at
+    eta = 0 and eta = 0.3 x the covering margin."""
+    h = hashlib.sha256()
+    for res in golden_strip_results(model, report, (0.0, 0.3)):
         for r in res:
             for key in ("start", "final"):
                 h.update(np.asarray(r.get(key, [])).tobytes())
@@ -86,5 +96,19 @@ def strip_result_digest(model, report) -> str:
     return h.hexdigest()
 
 
+def strip_verdict_digest(model, report) -> str:
+    """sha256 over every strip's verdict (hit, reason, witness word, depth),
+    strips in order, at eta = 0, 0.3, 1 and 3 x the covering margin."""
+    h = hashlib.sha256()
+    for res in golden_strip_results(model, report, (0.0, 0.3, 1.0, 3.0)):
+        for r in res:
+            h.update(repr((r["hit"], r.get("reason"), r.get("witness_word"), r.get("depth"))).encode())
+    return h.hexdigest()
+
+
 def test_strip_results_are_byte_identical(symplectic_model, symplectic_model_report):
     assert strip_result_digest(symplectic_model, symplectic_model_report) == STRIP_DIGEST
+
+
+def test_strip_verdicts_are_identical(symplectic_model, symplectic_model_report):
+    assert strip_verdict_digest(symplectic_model, symplectic_model_report) == STRIP_VERDICT_DIGEST
