@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fixed_points import find_fixed_point
 from .horseshoe import HorseshoeBase
-from .ifs import IFS, Word, apply_words
+from .ifs import _NEWTON_TOL, IFS, Word, apply_words, newton_rows
 from .maps import SmoothMap, by_index
 from .spaces import Box, StateSpace
 
@@ -382,11 +382,16 @@ def verify_strips(
     mirrored construction, with the word constrained to enter the strip's
     rectangle first.
 
-    The fixed point is solved once per call, every strip's cu-fiber start
-    comes from one apply_words call through the inverse cu fibers, and
-    every start still open is replayed in one batch, each row along its own
-    itinerary: the maps evaluate a batch as its rows, so each row gets the
-    bits it would alone.
+    The fixed point is solved once per call, and every strip's cu-fiber
+    start comes from one apply_words call through the inverse cu fibers. On
+    a perturbed map every start still open is then re-shot by one stacked
+    multiple-shooting Newton solve (_shoot); a strip whose orbit leaves its
+    rectangles, does not verify within newton_rows' cap, or whose replay
+    breaks the itinerary or misses its targets by more than 1e-5 gets the
+    result "shooting found no orbit tracking the itinerary". Every start is
+    replayed in one batch, each row along its own itinerary, and the replay
+    decides the verdict: the maps evaluate a batch as its rows, so each row
+    gets the bits it would alone.
     """
     Gmap = model.as_map() if G is None else G
     # the model's own map needs no continuation or shooting: its fixed point
@@ -416,20 +421,28 @@ def verify_strips(
         # every start's cu-fiber columns in one call, through the inverse fibers
         Z = apply_words(model.fiber_ifs_cu_inverted().generators, [o[3] for o in opened], [o[4] for o in opened])
         starts = [np.concatenate([head, z]) for head, z in zip(starts, Z)]
-    pending = []  # (strip index, start, itinerary)
-    for (n, _, itinerary, _, _), start in zip(opened, starts):
-        out = start if exact else _shoot_strip(model, Gmap, P, strips[n], start, itinerary)
-        if isinstance(out, dict):
-            results[n] = out
+    if not opened:
+        return results
+    lengths = np.array([len(o[2]) for o in opened])
+    padded = np.full((len(opened), lengths.max()), _PAD)
+    for row, o in enumerate(opened):
+        padded[row, : lengths[row]] = o[2]
+    starts = np.array(starts)
+    free = [1, *range(2 + model.ny, model.dim)]
+    targets = np.array([_target(model, P, strips[n], free) for n, *_ in opened])
+    starts, verified = (starts, True) if exact else _shoot(model, Gmap, starts, padded, targets)
+    steps, X = _replay(model.base, Gmap, starts, padded)
+    # a shot start serves only if its forward replay follows the itinerary
+    # and ends within 1e-5 of its targets
+    verified = exact | (verified & (steps == lengths) & (np.abs(X[:, -1, free] - targets).max(axis=1) <= 1e-5))
+    for (n, _, itinerary, _, _), start, ok, t, orbit in zip(opened, starts, verified, steps.tolist(), X):
+        strip = strips[n]
+        if not ok:
+            results[n] = {"hit": False, "reason": "shooting found no orbit tracking the itinerary", "witness_word": itinerary}
+        elif not exact and strip.kind == "u" and not strip.fiber_ball.contains(start[2 + model.ny :], tol=1e-12):
+            results[n] = {"hit": False, "reason": "refined start left the strip's fiber ball", "witness_word": itinerary}
         else:
-            pending.append((n, out, itinerary))
-    if pending:
-        words = np.full((len(pending), max(len(w) for _, _, w in pending)), _PAD)
-        for row, (_, _, w) in enumerate(pending):
-            words[row, : len(w)] = w
-        steps, reached = _replay(model.base, Gmap, np.array([s for _, s, _ in pending]), words)
-        for (n, start, itinerary), t, p in zip(pending, steps.tolist(), reached):
-            results[n] = _strip_verdict(model, P, strips[n], start, itinerary, t, p, eps)
+            results[n] = _strip_verdict(model, P, strip, start, itinerary, t, orbit[-1], eps)
     return results
 
 
@@ -477,25 +490,6 @@ def _strip_start(model, P, strip, word, fiber_cert_cu, depth) -> tuple | dict:
     return np.concatenate([[strip.level, u0], np.atleast_1d(y_start)]), itinerary, word, P[2 + ny :]
 
 
-def _shoot_strip(model, Gmap, P, strip, start, itinerary) -> np.ndarray | dict:
-    """The strip's start re-shot on the perturbed map Gmap, or its result
-    when no shot orbit serves."""
-    ny = model.ny
-    # perturbed base dynamics amplify start errors along the unstable
-    # direction; re-shoot the free coordinates so the replay tracks the
-    # itinerary cylinders and meets its endpoint targets
-    u_target = strip.level if strip.kind == "s" else P[1]
-    z_target = None
-    if model.nz:
-        z_target = np.atleast_1d(strip.other_level) if strip.kind == "s" else P[2 + ny :]
-    start = _shoot_start(model, Gmap, start, itinerary, u_target, z_target)
-    if start is None:
-        return {"hit": False, "reason": "shooting found no orbit tracking the itinerary", "witness_word": itinerary}
-    if strip.kind == "u" and not strip.fiber_ball.contains(start[2 + ny :], tol=1e-12):
-        return {"hit": False, "reason": "refined start left the strip's fiber ball", "witness_word": itinerary}
-    return start
-
-
 def _strip_verdict(model, P, strip, start, itinerary: Word, t: int, p, eps: float) -> dict:
     """The strip's result from its replay: t itinerary steps followed,
     ending at p."""
@@ -541,188 +535,96 @@ _PAD = -2  # pads a word row past its end; rect_of gives -1 in gaps, never -2
 
 
 def _replay(base: HorseshoeBase, Gmap: SmoothMap, P: np.ndarray, words: np.ndarray):
-    """(k, Q): the number of steps of its own word each row of P follows,
-    and the point it reached. Row r follows words[r], padded with _PAD past
-    the word's end; it leaves the batch at that end or at the first step
-    whose rectangle breaks the word, before the map sees it."""
-    Q = np.array(P, dtype=float)
-    k = np.zeros(len(Q), dtype=int)
-    live = np.arange(len(Q))
+    """(k, X): the number of steps of its own word each row of P follows,
+    and its orbit, X[r, t] the point row r holds after t steps. Row r
+    follows words[r], padded with _PAD past the word's end; it stops at
+    that end or at the first step whose rectangle breaks the word, before
+    the map sees it, and holds its point from then on."""
+    X = np.empty((len(P), words.shape[1] + 1, P.shape[-1]))
+    X[:, 0] = P
+    k = np.zeros(len(P), dtype=int)
+    live = np.arange(len(P))
     for t in range(words.shape[1]):
-        live = live[base.rect_of(Q[live, :2]) == words[live, t]]
-        if not live.size:
-            break
-        Q[live] = Gmap.raw(Q[live])
-        k[live] = t + 1
-    return k, Q
+        X[:, t + 1] = X[:, t]
+        live = live[base.rect_of(X[live, t, :2]) == words[live, t]]
+        if live.size:
+            X[live, t + 1] = Gmap.raw(X[live, t])
+            k[live] = t + 1
+    return k, X
 
 
-# Bisection budget of one solve, and the depth of the midpoint trees that
-# spend it: one batched replay scores 2^depth - 1 nested midpoints.
-_BISECT_STEPS = 90
-_TREE_DEPTH = 6
-_ABORT = -1  # decision code: the walk ends without a bracket
+def _target(model, P, strip, free) -> np.ndarray:
+    """The values of the free columns (u, then the cu fiber) at the end of
+    the strip's orbit: its leaf and pinned cu level for an s-strip, the
+    fixed point's for a u-strip."""
+    if strip.kind == "u":
+        return P[free]
+    return np.array([strip.level, *(np.atleast_1d(strip.other_level) if model.nz else ())], dtype=float)
 
 
-def _bisect_tree(a: float, b: float, decide):
-    """Sequential bisection of [a, b], scored a tree at a time.
+def _shoot(model, Gmap, starts, words, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Multiple shooting (Keller 1968; Stoer and Bulirsch, section 7.3): the
+    starts re-shot on Gmap, and which of them verified.
 
-    decide(mids) returns one code per midpoint: 1 moves a up to it, 0
-    moves b down to it, _ABORT ends the search with None. Each tree holds
-    the 2^depth - 1 nested midpoints below the current bracket in heap
-    order (children 2n + 1 below node n, 2n + 2 above), every one the same
-    0.5 * (lo + hi) the sequential walk computes, so walking the tree by
-    the decisions of its walked nodes retraces that walk exactly: it stops
-    when a midpoint equals an end, after _BISECT_STEPS walked nodes in all,
-    or at a walked _ABORT; codes of unwalked nodes are never read.
+    Perturbed base dynamics amplify start errors along the unstable
+    directions, so each row's whole orbit x_0, ..., x_M is the unknown of
+    one system, solved by newton_rows: x_{t+1} = Gmap(x_t) along its word,
+    x_{t+1} = x_t past the word's end (_PAD), and x_M's u and cu-fiber
+    columns equal to its targets. Only x_0's u and cu-fiber columns are
+    unknowns, so its s and cs-fiber columns keep their bits. Newton starts
+    from the model's own orbit of each start, and each step evaluates Gmap
+    and its Jacobian once on every orbit point still on its word. A row
+    with an orbit point outside its word's rectangle gets a NaN residual,
+    so the map never sees that point (the model is undefined in gaps).
     """
-    steps = 0
-    while steps < _BISECT_STEPS:
-        depth = min(_TREE_DEPTH, _BISECT_STEPS - steps)
-        lo, hi = np.array([a]), np.array([b])
-        levels = []
-        for _ in range(depth):
-            mid = 0.5 * (lo + hi)
-            levels.append(mid)
-            lo = np.stack([lo, mid], axis=-1).ravel()
-            hi = np.stack([mid, hi], axis=-1).ravel()
-        mids = np.concatenate(levels)
-        codes = decide(mids)
-        node = 0
-        for _ in range(depth):
-            mid = float(mids[node])
-            if mid == a or mid == b:
-                return a, b
-            if codes[node] == _ABORT:
-                return None
-            if codes[node]:
-                a, node = mid, 2 * node + 2
-            else:
-                b, node = mid, 2 * node + 1
-        steps += depth
-    return a, b
+    base, d = model.base, model.dim
+    free = [1, *range(2 + model.ny, d)]
+    nf = len(free)
+    n, M = words.shape
+    on = words >= 0
+    # the Jacobian's constant entries: x_{t+1} in equation t, x_M's free
+    # columns in the targets' rows; -DGmap(x_t) goes below the diagonal
+    J0 = np.zeros((M * d + nf, nf + M * d))
+    J0[np.arange(M * d), nf + np.arange(M * d)] = 1.0
+    J0[M * d + np.arange(nf), nf + (M - 1) * d + np.array(free)] = 1.0
+    t, a, b = np.ogrid[1:M, :d, :d]
+    below = t * d + a, nf + (t - 1) * d + b
 
+    def orbits(V, rows):
+        X = np.empty((len(rows), M + 1, d))
+        X[:, 0] = starts[rows]
+        X[:, 0, free] = V[:, :nf]
+        X[:, 1:] = V[:, nf:].reshape(len(rows), M, d)
+        return X
 
-def _shoot_start(
-    model: GeometricBlenderModel,
-    Gmap: SmoothMap,
-    guess: np.ndarray,
-    itinerary: Word,
-    u_target: float,
-    z_target: np.ndarray | None,
-) -> np.ndarray | None:
-    """Adjust the u (and cu-fiber) start coordinates so the perturbed orbit
-    follows the itinerary and hits its endpoint targets.
+    def raw(V, rows):
+        X = orbits(V, rows)
+        W = words[rows]
+        left = (on[rows] & (base.rect_of(X[:, :-1, :2]) != W)).any(axis=1)
+        step = on[rows] & ~left[:, None]
+        image = X[:, :-1].copy()
+        image[step] = Gmap.raw(X[:, :-1][step])
+        F = np.concatenate([(X[:, 1:] - image).reshape(len(rows), -1), X[:, -1, free]], axis=1)
+        F[left] = np.nan
+        return F
 
-    Both coordinates enter their own constraint monotonically (expanding
-    directions), so bisection inside the first cylinder converges; the
-    weak cross-coupling through the perturbation is handled by up to three
-    rounds of u then z. A round is a function of its input, so once one
-    returns its input the later rounds would repeat it, and the loop ends.
+    def jac(V, rows):
+        X = orbits(V, rows)
+        D = np.broadcast_to(np.eye(d), (len(rows), M, d, d)).copy()
+        D[on[rows]] = Gmap.jacobian(X[:, :-1][on[rows]])
+        J = np.broadcast_to(J0, (len(rows),) + J0.shape).copy()
+        J[:, :d, :nf] = -D[:, 0][..., free]
+        J[:, below[0], below[1]] = -D[:, 1:]
+        return J
 
-    Each bisection runs to machine width (at most _BISECT_STEPS midpoints)
-    as a bisection tree: one batched replay of the itinerary scores
-    2^_TREE_DEPTH - 1 nested midpoints, and the walk through them takes
-    exactly the sequential bisection's path, so the start is the same to
-    the last bit at about a sixth of the replays. The bracket probes of
-    each solve share one two-row replay. Returns None when no tracking
-    orbit exists in the cylinder.
-    """
-    base = model.base
-    ny = model.ny
-    m = len(itinerary)
-    word = np.asarray(itinerary)
-
-    def replay_at(p0: np.ndarray, col: int, values: np.ndarray):
-        """Replay copies of p0 with coordinate col set to each value."""
-        P = np.repeat(p0[None], len(values), axis=0)
-        P[:, col] = values
-        return _replay(base, Gmap, P, np.broadcast_to(word, (len(P), m)))
-
-    def u_scores(p0: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Signed surrogates, increasing in the start u; 0 when on target.
-        A row that broke the itinerary scores by its side of the center of
-        the slab it missed."""
-        k, Q = replay_at(p0, 1, us)
-        missed = base.slab_lo[word[np.minimum(k, m - 1)]]
-        center = 0.5 * (missed + (missed + base.height))
-        return np.where(k < m, Q[:, 1] - center, Q[:, 1] - u_target)
-
-    def solve_u(p0: np.ndarray) -> np.ndarray | None:
-        sym = itinerary[0]
-        lo, hi = base.slab_lo[sym], base.slab_lo[sym] + base.height
-        # bisect to machine width: the expanding direction amplifies start
-        # resolution by mu_uu per tracked step
-        a, b = lo + 1e-12, hi - 1e-12
-        flo, fhi = u_scores(p0, np.array([a, b]))
-        if flo > 0 or fhi < 0:
-            return None
-        a, b = _bisect_tree(a, b, lambda us: (u_scores(p0, us) <= 0).astype(int))
-        out = p0.copy()
-        out[1] = 0.5 * (a + b)
-        return out
-
-    def solve_z(p0: np.ndarray) -> np.ndarray | None:
-        if z_target is None or model.nz == 0:
-            return p0
-        # 1D cu fiber: bisect the start z against the final z target inside
-        # a window around the current guess (far values derail the base
-        # through the perturbation's coupling)
-        z_guess = float(p0[2 + ny])
-
-        def z_finals(zs: np.ndarray):
-            """Final z offsets from the target, and which rows broke."""
-            k, Q = replay_at(p0, 2 + ny, zs)
-            return Q[:, 2 + ny] - z_target[0], k < m
-
-        w = 1e-4
-        bracket = None
-        for _ in range(24):
-            lo, hi = z_guess - w, z_guess + w
-            (flo, fhi), broke = z_finals(np.array([lo, hi]))
-            if not broke.any() and flo * fhi <= 0:
-                bracket = (lo, hi, fhi > flo)
-                break
-            if broke.any():
-                w *= 0.5  # window left the tracking tube
-            else:
-                w *= 2.0
-            if w < 1e-14 or w > 10 * (model.region_cu.hi[0] - model.region_cu.lo[0]):
-                break
-        if bracket is None:
-            f0, broke = z_finals(np.array([z_guess]))
-            return p0 if not broke[0] and abs(f0[0]) < 1e-6 else None
-        a, b, increasing = bracket
-
-        def decide(zs: np.ndarray) -> np.ndarray:
-            f, broke = z_finals(zs)
-            return np.where(broke, _ABORT, (f <= 0) == increasing)
-
-        ab = _bisect_tree(a, b, decide)
-        if ab is None:
-            return None
-        out = p0.copy()
-        out[2 + ny] = 0.5 * (ab[0] + ab[1])
-        return out
-
-    p0 = guess.copy()
-    for _ in range(3):
-        p0u = solve_u(p0)
-        if p0u is None:
-            return None
-        p0z = solve_z(p0u)
-        if p0z is None:
-            return None
-        if np.array_equal(p0z, p0):
-            break  # a round that returns its input would repeat itself
-        p0 = p0z
-    k, Q = _replay(base, Gmap, p0[None], word[None])
-    p = Q[0]
-    if k[0] < m or abs(p[1] - u_target) > 1e-5:
-        return None
-    if z_target is not None and model.nz and abs(p[2 + ny] - z_target[0]) > 1e-5:
-        return None
-    return p0
+    _, X = _replay(base, model.as_map(), starts, words)
+    V, res = newton_rows(
+        raw, jac, np.concatenate([np.zeros((n, M * d)), targets], axis=1),
+        np.concatenate([X[:, 0, free], X[:, 1:].reshape(n, -1)], axis=1),
+    )
+    shot = starts.copy()
+    shot[:, free] = V[:, :nf]
+    return shot, res < _NEWTON_TOL
 
 
 def verify_double_blender(

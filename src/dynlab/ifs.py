@@ -68,36 +68,36 @@ def apply_word(generators: list[SmoothMap], word: Word, x) -> np.ndarray:
     return apply_words(generators, [word], x)[0]
 
 
-_INVERSE_STEPS = 6  # Newton steps of a perturbed inverse, warm-started
+_NEWTON_STEPS, _NEWTON_TOL = 6, 1e-13  # cap of newton_rows: steps, and the residual a row verifies below
 
 
-def newton_rows(raw, jac, y, x, label) -> np.ndarray:
+def newton_rows(raw, jac, y, x) -> tuple[np.ndarray, np.ndarray]:
     """Solve raw(x, rows) = y row by row by Newton steps from the warm start x.
 
     raw(X, rows) and jac(X, rows) evaluate the maps of the given rows and
     their Jacobians, one point each, as in fixed_points.contract_rows. Row i
     stops after the step at which its own residual |raw(x_i) - y_i| falls
-    below 1e-13, so its bits do not depend on the other rows of the batch.
-    After _INVERSE_STEPS steps every row still moving must verify below
-    1e-13; NoConvergence names the first that does not, by label(i).
+    below _NEWTON_TOL, so its bits do not depend on the other rows of the
+    batch; a row whose residual is not finite stops before jac sees it.
+    Returns (x, res): res[i] is row i's residual at its last evaluation,
+    below _NEWTON_TOL where the row verified within _NEWTON_STEPS steps.
     """
     x = np.array(x, dtype=float)
-    live = np.arange(len(y))
-    for _ in range(_INVERSE_STEPS):
+    res = np.full(len(x), np.nan)
+    live = np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
         if not len(live):
-            return x
+            return x, res
         r = raw(x[live], live) - y[live]
-        J = jac(x[live], live)
-        x[live] = x[live] - np.linalg.solve(J, r[..., None])[..., 0]
-        live = live[~(np.abs(r).max(axis=-1) < 1e-13)]
+        res[live] = np.abs(r).max(axis=-1)
+        finite = np.isfinite(res[live])
+        live, r = live[finite], r[finite]
+        if len(live):
+            x[live] = x[live] - np.linalg.solve(jac(x[live], live), r[..., None])[..., 0]
+        live = live[~(res[live] < _NEWTON_TOL)]
     if len(live):
-        r = np.abs(raw(x[live], live) - y[live]).max(axis=-1)
-        bad = np.flatnonzero(~(r < 1e-13))
-        if len(bad):
-            raise NoConvergence(
-                f"{label(live[bad[0]])}: Newton left residual {r[bad[0]]:.2e} after {_INVERSE_STEPS} steps"
-            )
-    return x
+        res[live] = np.abs(raw(x[live], live) - y[live]).max(axis=-1)
+    return x, res
 
 
 # The kernels of a bank's maps, on points X of shape (..., n) and parameters
@@ -130,12 +130,17 @@ def _jac(phi: SmoothMap, X, field) -> np.ndarray:
 
 def _invert(phi: SmoothMap, Y, c, field, raw, jac, label) -> np.ndarray:
     """Preimage under _raw: phi's inverse of y - c and, with a field,
-    newton_rows from it on the rows of Y, with raw, jac and label as there."""
+    newton_rows from it on the rows of Y, with raw and jac as there.
+    NoConvergence names the first row that does not verify, by label(i)."""
     X = phi.inverse.fn(Y - c)
     if field is None:
         return X
     Y2 = Y.reshape(-1, Y.shape[-1])
-    return newton_rows(raw, jac, Y2, X.reshape(Y2.shape), label).reshape(Y.shape)
+    X, res = newton_rows(raw, jac, Y2, X.reshape(Y2.shape))
+    bad = np.flatnonzero(~(res < _NEWTON_TOL))
+    if len(bad):
+        raise NoConvergence(f"{label(bad[0])}: Newton left residual {res[bad[0]]:.2e} after {_NEWTON_STEPS} steps")
+    return X.reshape(Y.shape)
 
 
 @dataclass(frozen=True, eq=False)

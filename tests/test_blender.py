@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlab.blender import (
-    _ABORT,
-    _BISECT_STEPS,
     _PAD,
-    _TREE_DEPTH,
     ConeField,
-    _bisect_tree,
     _replay,
     build_geometric_model,
     sample_strips,
@@ -244,13 +240,14 @@ def test_double_blender_both_directions(symplectic_model, symplectic_model_repor
     assert rep["s_hits"] == 25 and rep["u_hits"] == 25
 
 
-@pytest.mark.parametrize("eta_factor", [0.0, 0.3])
+@pytest.mark.parametrize("eta_factor", [0.0, 0.3, 3.0])
 def test_verify_strips_matches_each_strip_alone(symplectic_model, symplectic_model_report,
                                                  eta_factor, monkeypatch):
     # mixed s- and u-strips, a strip whose ball lies outside the certified
     # region (decided before any replay), and an s-strip whose leaf lies
     # above its slab: the exact replay breaks its itinerary at the last step,
-    # and no shot orbit of a perturbed map reaches it
+    # and no shot orbit of a perturbed map reaches it. Alone, each strip's
+    # shooting system has its own length, not the batch's padded one
     import dynlab.blender as bl
     from dynlab.blender import Strip
 
@@ -285,6 +282,51 @@ def test_verify_strips_matches_each_strip_alone(symplectic_model, symplectic_mod
     broke = "itinerary broke at step" if eta_factor == 0 else "shooting found no orbit"
     assert batch[7]["reason"].startswith(broke)
     assert verify_strips(model, [], rep0["fiber_cert"], 30, 0.02, **kw) == []
+
+
+@pytest.mark.parametrize("eta_factor", [0.3, 3.0])
+def test_shot_starts_keep_their_pinned_columns(symplectic_model, symplectic_model_report, eta_factor, monkeypatch):
+    # only a start's u and cu-fiber columns are unknowns of the shooting
+    # solve: its s and cs-fiber columns keep the unshot start's bytes, as
+    # the strip's stable level must hold exactly on a u-strip
+    import dynlab.blender as bl
+
+    model = symplectic_model
+    rep0 = symplectic_model_report
+    G = perturb_map(model.as_map(), eta_factor * rep0["fiber_cert"].margin, seed=7)
+    strips = sample_strips(model, "s", 10, 1 / 32, seed=61) + sample_strips(model, "u", 10, 1 / 32, seed=62)
+    shots = []
+    shoot = bl._shoot
+
+    def spy(model, G, starts, *rest):
+        shots.append((starts, shoot(model, G, starts, *rest)[0]))
+        return shoot(model, G, starts, *rest)
+
+    monkeypatch.setattr(bl, "_shoot", spy)
+    res = verify_strips(model, strips, rep0["fiber_cert"], 30, 0.02, G=G, fiber_cert_cu=rep0["fiber_cert_cu"])
+    assert all(r["hit"] for r in res)
+    (unshot, shot), = shots
+    pinned, free = [0, 2], [1, 3]
+    assert shot[:, pinned].tobytes() == unshot[:, pinned].tobytes()
+    assert (shot[:, free] != unshot[:, free]).any(axis=1).all()
+    assert np.array([r["start"] for r in res]).tobytes() == shot.tobytes()
+    for strip, start in zip(strips[10:], shot[10:]):
+        assert start[0] == strip.level and start[2] == strip.other_level[0]
+
+
+def test_shooting_calls_the_map_a_bounded_number_of_times(symplectic_model, symplectic_model_report):
+    # every strip of a call shares each map evaluation: the fixed point's
+    # continuation, a few Newton steps and one replay of all starts, however
+    # many strips there are
+    model = symplectic_model
+    rep0 = symplectic_model_report
+    G = perturb_map(model.as_map(), 0.3 * rep0["fiber_cert"].margin, seed=4)
+    calls = []
+    counted = G.with_meta(fn=lambda x: calls.append(len(x)) or G.fn(x))
+    strips = sample_strips(model, "s", 10, 1 / 32, seed=8) + sample_strips(model, "u", 10, 1 / 32, seed=9)
+    res = verify_strips(model, strips, rep0["fiber_cert"], 30, 0.02, G=counted, fiber_cert_cu=rep0["fiber_cert_cu"])
+    assert all(r["hit"] for r in res)
+    assert len(calls) <= 30
 
 
 def test_nested_ball_witnesses_accumulate(symplectic_model, symplectic_model_report):
@@ -527,90 +569,8 @@ def test_jacobian_raises_in_gaps():
 
 
 # ---------------------------------------------------------------------------
-# shooting: bisection trees and batched replays
+# shooting: batched replays
 # ---------------------------------------------------------------------------
-
-def sequential_bisect(a, b, decide_one, steps=90):
-    """The reference walk: one midpoint scored at a time."""
-    for _ in range(steps):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        code = decide_one(mid)
-        if code == _ABORT:
-            return None
-        if code:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
-def threshold(t):
-    """Monotone decisions: the bracket's low end moves up to midpoints <= t."""
-    return lambda mids: (np.asarray(mids) <= t).astype(int)
-
-
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=200)
-@given(finite, st.one_of(st.integers(1, 8), st.floats(1e-9, 1e3)), st.floats(-0.1, 1.1))
-def test_bisection_tree_walks_the_sequential_path(a, width, frac):
-    # integer widths are a few ulps, so a midpoint equal to an end stops the
-    # walk inside a tree; the threshold may also lie outside the bracket
-    if isinstance(width, int):
-        b = a
-        for _ in range(width):
-            b = float(np.nextafter(b, np.inf))
-    else:
-        b = a + width
-    t = a + frac * (b - a)
-    decide = threshold(t)
-    expected = sequential_bisect(a, b, lambda mid: int(decide([mid])[0]))
-    got = _bisect_tree(a, b, decide)
-    assert np.array_equal(np.array(got), np.array(expected))
-
-
-def test_bisection_tree_reads_only_walked_codes():
-    a, b, t = 0.0, 1.0, 0.3141592653589793
-    walked = []
-    sequential_bisect(a, b, lambda mid: walked.append(mid) or int(mid <= t))
-    assert len(walked) > 2 * _TREE_DEPTH
-
-    def aborting(targets):
-        def decide(mids):
-            codes = threshold(t)(mids)
-            codes[np.isin(mids, targets)] = _ABORT
-            return codes
-        return decide
-
-    # every node of the first tree off the walked path may abort: no effect
-    trees = []
-    clean = _bisect_tree(a, b, lambda mids: trees.append(mids.copy()) or threshold(t)(mids))
-    off_path = np.setdiff1d(trees[0], walked)
-    assert len(off_path) == len(trees[0]) - _TREE_DEPTH == 2**_TREE_DEPTH - 1 - _TREE_DEPTH
-    assert _bisect_tree(a, b, aborting(off_path)) == clean
-    # a walked node aborts, in the first tree and in a later one
-    for node in (walked[2], walked[_TREE_DEPTH + 1]):
-        assert _bisect_tree(a, b, aborting([node])) is None
-
-
-def test_bisection_tree_caps_steps_across_trees():
-    # always moving b down from 1e300 needs far more than 90 halvings to
-    # reach 0, so the budget ends the walk, exactly where the sequential one
-    # ends, after whole trees of scored midpoints
-    scored = []
-
-    def down(mids):
-        scored.append(len(mids))
-        return np.zeros(len(mids), dtype=int)
-
-    got = _bisect_tree(0.0, 1e300, down)
-    assert got == sequential_bisect(0.0, 1e300, lambda mid: 0)
-    assert got == (0.0, 1e300 * 2.0**-_BISECT_STEPS)
-    assert sum(scored) == (_BISECT_STEPS // _TREE_DEPTH) * (2**_TREE_DEPTH - 1)
-
 
 def single_model():
     base = HorseshoeBase.build(3, mu_ss=0.1, mu_uu=10.0)
@@ -644,17 +604,19 @@ def test_replay_batch_equals_its_rows(symplectic_model, which):
     W = np.full((len(P), m.max()), _PAD)
     for r, w in enumerate(words):
         W[r, : len(w)] = w
-    k, Q = _replay(base, G, P, W)
+    k, X = _replay(base, G, P, W)
     assert (k == 0).sum() >= 5 and ((k > 0) & (k < m)).sum() >= 5 and (k == m).sum() >= 5
     assert len(set(m[k == m].tolist())) == len(itineraries)
-    stopped = Q[k < m, :2]
+    stopped = X[k < m, -1, :2]
     assert (base.rect_of(stopped) < 0).sum() >= 5 and (base.rect_of(stopped) >= 0).sum() >= 5
     for r in range(len(P)):
-        k1, Q1 = _replay(base, G, P[r : r + 1], np.asarray(words[r])[None])
+        k1, X1 = _replay(base, G, P[r : r + 1], np.asarray(words[r])[None])
         assert k1[0] == k[r]
-        assert np.array_equal(Q1[0], Q[r])
-        # and step by step through the map, one point at a time
+        assert np.array_equal(X1[0], X[r, : m[r] + 1])
+        # and step by step through the map, one point at a time; the orbit
+        # holds its point from the step where it stops
         p, t = P[r].copy(), 0
         while t < m[r] and base.rect_of(p[:2]) == words[r][t]:
+            assert p.tobytes() == X[r, t].tobytes()
             p, t = G.raw(p), t + 1
-        assert t == k[r] and p.tobytes() == Q[r].tobytes()
+        assert t == k[r] and all(q.tobytes() == p.tobytes() for q in X[r, t:])

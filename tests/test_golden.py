@@ -50,7 +50,7 @@ PRESET_DIGESTS = {
     ("recurrence-fraction", 1): "b43fe46847a6d50b78bd18c431543b0f367dd8a95570488669e351d7f5c1b5c7",
 }
 
-STRIP_DIGEST = "130910c28f0b6a9fc0a8582683cb0d085d58c7fb327a175682dbf464b5dee49b"
+STRIP_DIGEST = "e1267674013b1153e73477d0acddf6ea7ff840f53ec0884d217ba1ef3bebb958"
 STRIP_VERDICT_DIGEST = "7bc02c05d72873dc8ece4908c96808512d89fe30205d12f56e45572c5b4e7dae"
 
 

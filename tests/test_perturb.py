@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dynlab.covering import construct_translations
 from dynlab.errors import NoConvergence
-from dynlab.ifs import GeneratorBank
+from dynlab.ifs import GeneratorBank, newton_rows
 from dynlab.maps import affine_map, check_symplectic
 from dynlab.perturb import _trig_field, perturb_ifs, perturb_map, robustness_sweep
 from dynlab.spaces import Box, Circle, Interval, StateSpace, unit_interval_space
@@ -221,6 +221,39 @@ def test_stacked_inverse_names_the_first_stalled_row():
     calm = np.array([0, 2])
     x = bank.invert(Y[:2], calm)
     assert np.max(np.abs(bank.raw(x, calm) - Y[:2])) < 1e-13
+
+
+def test_newton_rows_stops_a_row_whose_residual_is_not_finite():
+    # the row whose raw is NaN stops before jac ever sees it, with its warm
+    # start and a non-finite residual; every other row gets the bytes it
+    # gets in the batch without that row
+    plane = StateSpace((Interval(-1, 1), Interval(-1, 1)))
+    ifs = perturb_ifs(construct_translations(affine_map(plane, 0.5 * np.eye(2), [0.0, 0.0]), 0.5, 0.3), 0.02, 5)
+    bank = ifs.bank
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, ifs.k, 12)
+    X = ifs.domain_region.sample(rng, len(rows))
+    Y = bank.raw(X, rows)
+    start = X + rng.uniform(-0.01, 0.01, X.shape)
+    seen = []
+
+    def raw(x, live):
+        out = bank.raw(x, rows[live])
+        out[live == 4] = np.nan
+        return out
+
+    def jac(x, live):
+        seen.extend(live.tolist())
+        return bank.jac(x, rows[live])
+
+    x, res = newton_rows(raw, jac, Y, start)
+    assert seen and 4 not in seen
+    assert np.isnan(res[4]) and x[4].tobytes() == start[4].tobytes()
+    keep = np.delete(np.arange(len(rows)), 4)
+    x2, res2 = newton_rows(lambda x, live: bank.raw(x, rows[keep][live]),
+                           lambda x, live: bank.jac(x, rows[keep][live]), Y[keep], start[keep])
+    assert x[keep].tobytes() == x2.tobytes() and res[keep].tobytes() == res2.tobytes()
+    assert (res2 < 1e-13).all()
 
 
 # ---------------------------------------------------------------------------
