@@ -299,8 +299,9 @@ def test_shot_starts_keep_their_pinned_columns(symplectic_model, symplectic_mode
     shoot = bl._shoot
 
     def spy(model, G, starts, *rest):
-        shots.append((starts, shoot(model, G, starts, *rest)[0]))
-        return shoot(model, G, starts, *rest)
+        out = shoot(model, G, starts, *rest)
+        shots.append((starts, out[0]))
+        return out
 
     monkeypatch.setattr(bl, "_shoot", spy)
     res = verify_strips(model, strips, rep0["fiber_cert"], 30, 0.02, G=G, fiber_cert_cu=rep0["fiber_cert_cu"])
